@@ -44,12 +44,12 @@ plan = AugmentationPlan.from_transforms(
 
 # find a pool sample where the jittered copies disagree the most
 def spread(s):
-    vectors = augment.apply(plan, s, seed=11)
+    vectors = augment.apply(plan, [s], seed=11)[0]
     z = np.stack([predict_proba(model, v) for v in vectors])
     return float(select_distribution(z).sigma.max())
 
 shaky = max(triple.unlabelled, key=spread)
-vectors = augment.apply(plan, shaky, seed=11)
+vectors = augment.apply(plan, [shaky], seed=11)[0]
 z = np.stack([predict_proba(model, v) for v in vectors])
 
 print(f"sample {shaky.id} at {np.round(shaky.features, 2)} (slot 0 is the identity):")

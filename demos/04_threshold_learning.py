@@ -10,7 +10,8 @@ qualifies the threshold is +inf and nothing gets admitted.
 
 import math
 
-from ile.confidence import ConfidenceReport
+import numpy as np
+
 from ile.threshold import learn_threshold, select_admissions, threshold_accuracy
 
 # (confidence, predicted label, true label); a prediction is correct when
@@ -25,40 +26,34 @@ scored = [
     (0.55, 0, 1),
     (0.42, 1, 0),
 ]
+confidences = np.array([c for c, _, _ in scored])
+correct = np.array([pred == true for _, pred, true in scored])
 
 print("cut     admitted  accuracy")
-for cut in sorted({c for c, _, _ in scored}, reverse=True):
-    admitted = [row for row in scored if row[0] >= cut]
-    acc = threshold_accuracy(scored, cut)
-    print(f"{cut:.2f}    {len(admitted):8d}  {acc:8.3f}")
+for cut in sorted(set(confidences.tolist()), reverse=True):
+    admitted = int((confidences >= cut).sum())
+    acc = threshold_accuracy(confidences, correct, cut)
+    print(f"{cut:.2f}    {admitted:8d}  {acc:8.3f}")
 print()
 
 # The sweep above explains the outcomes below.  A target of 0.8 is met at
 # 0.81 (4/5 correct) and again at 0.73 (5/6) once the pass set outgrows the
 # mistake at 0.90 -- the sweep keeps the cheaper 0.73.
 for target in (1.0, 0.8, 0.6):
-    t_c = learn_threshold(scored, target)
+    t_c = learn_threshold(confidences, correct, target)
     shown = "inf" if math.isinf(t_c) else f"{t_c:.2f}"
     print(f"target accuracy {target:.2f} -> threshold {shown}")
 
 # nothing qualifies when even the most confident sample is wrong
-hopeless = [(0.99, 0, 1), (0.50, 1, 1)]
-print(f"hopeless case -> {learn_threshold(hopeless, 0.9)}")
+hopeless = learn_threshold([0.99, 0.50], [False, True], 0.9)
+print(f"hopeless case -> {hopeless}")
 print()
 
 # Applying the threshold to fresh unlabelled scores keeps (id, label,
 # confidence) admission tuples; everything below the cut stays in the pool.
-def fake_report(label, combined):
-    return ConfidenceReport(
-        predicted_label=label, runner_up=1 - label,
-        c_a=combined, c_b=combined, c_c=0.0, combined=combined,
-    )
-
-pool = [
-    (101, fake_report(0, 0.91)),
-    (102, fake_report(1, 0.84)),
-    (103, fake_report(0, 0.61)),
-]
-t_c = learn_threshold(scored, 0.8)
-admissions = select_admissions(pool, t_c)
-print(f"threshold {t_c:.2f} admits {len(admissions)} of {len(pool)}: {admissions}")
+pool_ids = np.array([101, 102, 103])
+pool_labels = np.array([0, 1, 0])
+pool_confidences = np.array([0.91, 0.84, 0.61])
+t_c = learn_threshold(confidences, correct, 0.8)
+admissions = select_admissions(pool_ids, pool_labels, pool_confidences, t_c)
+print(f"threshold {t_c:.2f} admits {len(admissions)} of {len(pool_ids)}: {admissions}")

@@ -57,12 +57,7 @@ from .errors import (
 from .loop import IterationRecord, LoopState, RunReport, run, run_iteration, run_single
 from .seeding import derive_seed, rng
 from .synth import generate
-from .threshold import (
-    ThresholdPolicy,
-    learn_threshold,
-    select_admissions,
-    threshold_accuracy,
-)
+from .threshold import learn_threshold, select_admissions, threshold_accuracy
 
 __version__ = "0.1.0"
 
@@ -91,7 +86,6 @@ __all__ = [
     "SOFTMAX_REGRESSION",
     "Sample",
     "StateError",
-    "ThresholdPolicy",
     "TrainConfig",
     "TrainingError",
     "admit",

@@ -1,41 +1,47 @@
 """Feature-space augmentations for ensemble scoring.
 
-The transforms are generic stand-ins that work on any flat feature vector:
-additive gaussian jitter plus horizontal flip and shift for vectors that are
-row-major flattenings of a rows x cols grid. The transform list is fully
-config-driven; the original sample is always element 0 of the ensemble.
+The transforms are generic stand-ins that work on any block of flat feature
+vectors: additive gaussian jitter plus horizontal flip and shift for vectors
+that are row-major flattenings of a rows x cols grid. The transform list is
+fully config-driven; the original sample is always element 0 of the ensemble.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import to_arrays
 from .errors import ConfigError, DataError
 from .seeding import rng
 
 
 @dataclass(frozen=True)
 class Identity:
-    def apply(self, features, stream):
-        return features.copy()
+    def apply(self, X, ids, seed, slot):
+        return X
 
 
 @dataclass(frozen=True)
 class GaussianJitter:
+    """Additive noise; sample ``ids[i]`` draws from its own (seed, id, slot) stream."""
+
     sigma: float
 
-    def apply(self, features, stream):
+    def apply(self, X, ids, seed, slot):
         if self.sigma == 0.0:
-            return features.copy()
-        return features + stream.normal(0.0, self.sigma, size=features.shape)
+            return X
+        noise = np.empty_like(X)
+        for i, sid in enumerate(ids):
+            noise[i] = rng(seed, sid, slot).normal(0.0, self.sigma, size=X.shape[1])
+        return X + noise
 
 
-def _as_grid(features, rows, cols):
-    if features.shape != (rows * cols,):
+def _as_grids(X, rows, cols):
+    if X.shape[1] != rows * cols:
         raise DataError(
-            f"grid transform needs {rows * cols} features, got {features.shape}"
+            f"grid transform needs {rows * cols} features, got {X.shape[1]}"
         )
-    return features.reshape(rows, cols)
+    return X.reshape(len(X), rows, cols)
 
 
 @dataclass(frozen=True)
@@ -43,8 +49,8 @@ class GridHFlip:
     rows: int
     cols: int
 
-    def apply(self, features, stream):
-        return _as_grid(features, self.rows, self.cols)[:, ::-1].reshape(-1).copy()
+    def apply(self, X, ids, seed, slot):
+        return _as_grids(X, self.rows, self.cols)[:, :, ::-1].reshape(len(X), -1)
 
 
 @dataclass(frozen=True)
@@ -56,14 +62,16 @@ class GridShift:
     dx: int
     dy: int
 
-    def apply(self, features, stream):
-        g = _as_grid(features, self.rows, self.cols)
+    def apply(self, X, ids, seed, slot):
+        g = _as_grids(X, self.rows, self.cols)
         out = np.zeros_like(g)
         r0, r1 = max(self.dy, 0), self.rows + min(self.dy, 0)
         c0, c1 = max(self.dx, 0), self.cols + min(self.dx, 0)
         if r0 < r1 and c0 < c1:
-            out[r0:r1, c0:c1] = g[r0 - self.dy : r1 - self.dy, c0 - self.dx : c1 - self.dx]
-        return out.reshape(-1)
+            out[:, r0:r1, c0:c1] = g[
+                :, r0 - self.dy : r1 - self.dy, c0 - self.dx : c1 - self.dx
+            ]
+        return out.reshape(len(X), -1)
 
 
 _KINDS = {
@@ -126,15 +134,17 @@ class AugmentationPlan:
         return cls((Identity(),))
 
 
-def apply(plan, sample, seed):
-    """The A augmented feature vectors for one sample, original first.
+def apply(plan, samples, seed):
+    """The augmented copies of a block of samples as an (n, A, d) array.
 
-    Stochastic transforms draw from a stream derived from
-    (seed, sample id, transform index), so results are independent of the
-    order in which samples are processed.
+    Slot 0 holds the originals. A transform maps the whole (n, d) block at
+    once; stochastic ones draw from a stream derived from (seed, sample id,
+    slot), so results are independent of how samples are grouped or
+    ordered, and noise-free transforms build no stream at all.
     """
-    features = np.asarray(sample.features, dtype=np.float64)
-    out = []
-    for i, t in enumerate(plan.transforms):
-        out.append(t.apply(features, rng(seed, sample.id, i)))
+    X, _ = to_arrays(samples, labels=None)
+    ids = [s.id for s in samples]
+    out = np.empty((len(samples), plan.count, X.shape[1]))
+    for slot, t in enumerate(plan.transforms):
+        out[:, slot] = t.apply(X, ids, seed, slot)
     return out

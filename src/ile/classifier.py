@@ -145,7 +145,8 @@ def fit(model, labelled, config, seed, validation=None) -> ModelState:
     Deterministic given (model.init_seed, seed). If ``validation`` samples are
     given and early stopping is configured, training stops once validation
     error has not improved for ``early_stop_patience`` epochs and the best
-    parameters are kept.
+    parameters are kept. Raises TrainingError as soon as an epoch leaves a
+    parameter NaN or infinite.
     """
     config.validate()
     if not labelled:
@@ -170,6 +171,10 @@ def fit(model, labelled, config, seed, validation=None) -> ModelState:
             )
             for k in params:
                 params[k] -= config.learning_rate * grads[k]
+        if not all(np.isfinite(v).all() for v in params.values()):
+            raise TrainingError(
+                f"training diverged: non-finite parameters after epoch {epoch + 1}"
+            )
         if validation is not None and config.early_stop_patience is not None:
             trained = replace(model, params=params, trained=True)
             err = evaluate(trained, validation)

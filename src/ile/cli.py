@@ -42,7 +42,9 @@ def build_parser():
     p_run.add_argument("--config", required=True, help="JSON run config path")
     p_run.add_argument("--seed", type=int, default=None, help="override config seed")
     p_run.add_argument("--out", default=None, help="override output directory")
-    p_run.add_argument("--workers", type=int, default=1, help="scoring processes")
+    p_run.add_argument(
+        "--workers", type=int, default=1, help="accepted for compatibility; runs are serial"
+    )
     p_run.add_argument(
         "--dry-run", action="store_true", help="validate config and exit"
     )

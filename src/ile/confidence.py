@@ -8,13 +8,13 @@ threshold acts on; the distance metric is inverted so that higher is better
 everywhere.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .datasets import to_arrays
 from .classifier import predict_proba_batch
-from .ensemble import ensemble_predict
+from .ensemble import ensemble_posteriors, select_distribution
 from .errors import ConfigError, DataError, MissingPrototypeError
 
 COMBINE_MODES = ("bounded", "reciprocal")
@@ -106,20 +106,78 @@ def build_prototypes(model, labelled) -> PrototypeTable:
     return PrototypeTable(table=table, counts=counts)
 
 
-def combine(c_a, c_b, c_c, weights, mode="bounded", epsilon=1e-6) -> float:
+def combine(c_a, c_b, c_c, weights, mode="bounded", epsilon=1e-6):
     """Weighted sum of the three metrics with the distance metric inverted.
 
-    "bounded" inverts via 1/(1+c_c), which stays in (0, 1] and is finite at a
-    perfect prototype match; "reciprocal" is the raw 1/c_c with an epsilon
-    floor to avoid the singularity at zero.
+    Works elementwise on scalars or arrays. "bounded" inverts via
+    1/(1+c_c), which stays in (0, 1] and is finite at a perfect prototype
+    match; "reciprocal" is the raw 1/c_c with an epsilon floor to avoid the
+    singularity at zero.
     """
     if mode == "bounded":
         inv = 1.0 / (1.0 + c_c)
     elif mode == "reciprocal":
-        inv = 1.0 / max(c_c, epsilon)
+        inv = 1.0 / np.maximum(c_c, epsilon)
     else:
         raise ConfigError(f"unknown combine mode {mode!r}")
     return weights.w_a * c_a + weights.w_b * c_b + weights.w_c * inv
+
+
+@dataclass
+class BlockScores:
+    """Raw metrics of a block of samples, one entry per sample.
+
+    ``scorable`` is False where the predicted class ``y1`` has no prototype;
+    ``c_c`` is NaN there and callers skip the sample.
+    """
+
+    ids: np.ndarray
+    y1: np.ndarray
+    y2: np.ndarray
+    c_a: np.ndarray
+    c_b: np.ndarray
+    c_c: np.ndarray
+    scorable: np.ndarray
+
+    def __getitem__(self, index):
+        """The entries selected by ``index`` (a mask, slice or index array)."""
+        return BlockScores(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    @classmethod
+    def concatenate(cls, blocks):
+        return cls(
+            *(np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(cls))
+        )
+
+
+def score_block(model, prototypes, plan, samples, seed, population_std=True):
+    """Ensemble-select a distribution per sample and compute the raw metrics.
+
+    Returns BlockScores in the order of ``samples``. Each sample's result
+    depends only on the sample and (seed, sample id), not on the block.
+    """
+    chosen = select_distribution(
+        ensemble_posteriors(model, plan, samples, seed), population_std=population_std
+    )
+    dist = chosen.distribution
+    order = np.argsort(-dist, axis=1, kind="stable")
+    y1, y2 = order[:, 0], order[:, 1]
+    rows = np.arange(len(dist))
+    c_a = dist[rows, y1]
+    scorable = prototypes.counts[y1] > 0
+    diff = dist - prototypes.table[y1]
+    # a stacked (1, C) @ (C, 1) product takes the same dot product as
+    # np.linalg.norm does on one row, so block and one-sample distances agree
+    c_c = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    return BlockScores(
+        ids=np.array([s.id for s in samples], dtype=np.int64),
+        y1=y1,
+        y2=y2,
+        c_a=c_a,
+        c_b=c_a - dist[rows, y2],
+        c_c=np.where(scorable, c_c, np.nan),
+        scorable=scorable,
+    )
 
 
 def metrics_for_sample(
@@ -130,16 +188,12 @@ def metrics_for_sample(
     Returns (y1, y2, c_a, c_b, c_c). Raises MissingPrototypeError when the
     predicted class has no prototype; callers skip such samples.
     """
-    result = ensemble_predict(
-        model, plan, sample, seed, population_std=population_std
+    s = score_block(
+        model, prototypes, plan, [sample], seed, population_std=population_std
     )
-    dist = result.distribution
-    y1, y2 = top_two(dist)
-    proto = prototypes.get(y1)
-    c_a = float(dist[y1])
-    c_b = float(dist[y1] - dist[y2])
-    c_c = float(np.linalg.norm(dist - proto))
-    return y1, y2, c_a, c_b, c_c
+    if not s.scorable[0]:
+        raise MissingPrototypeError(f"no prototype for class {s.y1[0]}")
+    return int(s.y1[0]), int(s.y2[0]), float(s.c_a[0]), float(s.c_b[0]), float(s.c_c[0])
 
 
 def score_sample(
@@ -159,33 +213,33 @@ def score_sample(
     )
     c = combine(c_a, c_b, c_c, weights, mode=mode, epsilon=epsilon)
     return ConfidenceReport(
-        predicted_label=y1, runner_up=y2, c_a=c_a, c_b=c_b, c_c=c_c, combined=c
+        predicted_label=y1, runner_up=y2, c_a=c_a, c_b=c_b, c_c=c_c, combined=float(c)
     )
 
 
-def weights_from_scored(rows) -> MetricWeights:
+def weights_from_scored(c_a, c_b, c_c, correct) -> MetricWeights:
     """Weights proportional to each metric's top-half label accuracy.
 
-    ``rows`` are (c_a, c_b, c_c, correct) tuples. Samples are ranked
-    best-first per metric (ascending for the distance metric) and the
-    accuracy of the top half measured; weights are the three accuracies
-    normalized to sum to one, falling back to equal when all are zero.
+    The arguments are per-sample arrays of the three metrics and of whether
+    the predicted label is correct. Samples are ranked best-first per metric
+    (ascending for the distance metric) and the accuracy of the top half
+    measured; weights are the three accuracies normalized to sum to one,
+    falling back to equal when all are zero.
     """
-    if not rows:
-        raise DataError("cannot calibrate weights from an empty scored list")
-    correct = np.array([r[3] for r in rows], dtype=np.float64)
-    half = (len(rows) + 1) // 2
+    correct = np.asarray(correct, dtype=np.float64)
+    if len(correct) == 0:
+        raise DataError("cannot calibrate weights from an empty scored set")
+    half = (len(correct) + 1) // 2
 
-    def top_half_accuracy(values, higher_is_better):
-        keys = -values if higher_is_better else values
+    def top_half_accuracy(keys):
         order = np.argsort(keys, kind="stable")
         return float(correct[order[:half]].mean())
 
     accs = np.array(
         [
-            top_half_accuracy(np.array([r[0] for r in rows]), True),
-            top_half_accuracy(np.array([r[1] for r in rows]), True),
-            top_half_accuracy(np.array([r[2] for r in rows]), False),
+            top_half_accuracy(-np.asarray(c_a, dtype=np.float64)),
+            top_half_accuracy(-np.asarray(c_b, dtype=np.float64)),
+            top_half_accuracy(np.asarray(c_c, dtype=np.float64)),
         ]
     )
     total = accs.sum()
@@ -200,17 +254,16 @@ def calibrate_weights(
     """Score labelled calibration samples and weight the metrics by accuracy."""
     if not calibration:
         raise DataError("cannot calibrate weights on an empty set")
-    rows = []
     for s in calibration:
         if s.assigned_label is None:
             raise DataError(f"calibration sample {s.id} has no label")
-        try:
-            y1, _, c_a, c_b, c_c = metrics_for_sample(
-                model, prototypes, plan, s, seed, population_std=population_std
-            )
-        except MissingPrototypeError:
-            continue
-        rows.append((c_a, c_b, c_c, y1 == s.assigned_label))
-    if not rows:
+    labels = np.array([s.assigned_label for s in calibration])
+    scores = score_block(
+        model, prototypes, plan, calibration, seed, population_std=population_std
+    )
+    ok = scores.scorable
+    if not ok.any():
         raise DataError("no calibration sample could be scored")
-    return weights_from_scored(rows)
+    return weights_from_scored(
+        scores.c_a[ok], scores.c_b[ok], scores.c_c[ok], scores.y1[ok] == labels[ok]
+    )

@@ -133,7 +133,8 @@ def load_table(path, format="csv") -> list[Sample]:
     """Load samples from ``path``; format "csv" or "binary".
 
     Rows with a label yield clean samples where the label doubles as hidden
-    ground truth; rows without one yield unlabelled samples.
+    ground truth; rows without one yield unlabelled samples. NaN or infinite
+    features are rejected.
     """
     if format == "csv":
         samples = _load_csv(path)
@@ -146,6 +147,11 @@ def load_table(path, format="csv") -> list[Sample]:
         if s.id in seen:
             raise DataError(f"{path}: duplicate id {s.id}")
         seen.add(s.id)
+    if samples:
+        finite = np.isfinite(np.stack([s.features for s in samples])).all(axis=1)
+        if not finite.all():
+            bad = samples[int(np.argmin(finite))]
+            raise DataError(f"{path}: sample {bad.id} has a non-finite feature")
     return samples
 
 

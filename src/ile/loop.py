@@ -4,9 +4,11 @@ Each iteration re-initializes the model from a derived seed, trains it on the
 current labelled set, rebuilds the class prototypes, learns the admission
 threshold on training-data confidences, scores the whole unlabelled pool with
 the augmentation ensemble plus confidence metrics, and admits every sample
-that clears the threshold. A labelled-only benchmark is computed first so
-improvement is attributable to the admissions alone: given the same seed, the
-benchmark and the first iteration's training are the identical computation.
+that clears the threshold. Scoring runs block-wise: SCORE_BLOCK samples at
+a time go through one forward pass as arrays. The labelled-only benchmark
+that improvement is measured against is the first iteration's model: with
+the same seeds and data, a separate benchmark fit would be the identical
+computation.
 """
 
 import csv
@@ -14,9 +16,7 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from multiprocessing import get_context
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,15 +24,21 @@ import numpy as np
 from . import datasets
 from .classifier import evaluate, fit, init_model
 from .confidence import (
-    ConfidenceReport,
+    BlockScores,
     build_prototypes,
     combine,
-    metrics_for_sample,
+    score_block,
     weights_from_scored,
 )
 from .config import RunConfig, config_to_dict
-from .datasets import DatasetTriple, admit, load_table, release_pseudo
-from .errors import ConfigError, DataError, MissingPrototypeError
+from .datasets import (
+    PROVENANCE_PSEUDO,
+    DatasetTriple,
+    admit,
+    load_table,
+    release_pseudo,
+)
+from .errors import ConfigError, DataError
 from .seeding import derive_seed
 from .synth import generate
 from .threshold import learn_threshold, select_admissions
@@ -42,7 +48,11 @@ log = logging.getLogger("ile")
 
 @dataclass
 class IterationRecord:
-    """One row of the run log; sizes are taken at iteration start."""
+    """One row of the run log.
+
+    Sizes are those of D_l and D_u when the pool is scored, that is after
+    re-scoring mode has returned earlier pseudo-labels to the pool.
+    """
 
     iteration: int
     dl_size: int
@@ -71,96 +81,19 @@ class LoopState:
     d: int
     C: int
     frozen_threshold: float | None = None
-    admitted_total: int = 0
-    admitted_with_truth: int = 0
-    admitted_correct: int = 0
 
 
-# ---------------------------------------------------------------------------
-# Scoring (serial or fanned out to worker processes)
-# ---------------------------------------------------------------------------
-
-def _raw_score_batch(payload):
-    model, prototypes, plan, population_std, seed, samples = payload
-    rows = []
-    for s in samples:
-        try:
-            rows.append(
-                (
-                    s.id,
-                    metrics_for_sample(
-                        model, prototypes, plan, s, seed, population_std
-                    ),
-                )
-            )
-        except MissingPrototypeError:
-            rows.append((s.id, None))
-    return rows
+# samples scored per forward pass; whole-pool arrays cost about a fifth more
+# peak memory on a 10k pool for no speed gain
+SCORE_BLOCK = 256
 
 
-def _score_all(samples, model, prototypes, plan, population_std, seed, executor, workers):
-    """Raw metric rows (id, (y1, y2, c_a, c_b, c_c) | None), ordered by id.
-
-    Results are independent of worker count: per-sample streams depend only
-    on (seed, sample id) and chunks are reassembled in order.
-    """
-    ordered = sorted(samples, key=lambda s: s.id)
-    if executor is None or workers <= 1 or len(ordered) < 2 * workers:
-        return _raw_score_batch(
-            (model, prototypes, plan, population_std, seed, ordered)
-        )
-    chunk = max(1, math.ceil(len(ordered) / (workers * 4)))
-    payloads = [
-        (model, prototypes, plan, population_std, seed, ordered[i : i + chunk])
-        for i in range(0, len(ordered), chunk)
-    ]
-    rows = []
-    for part in executor.map(_raw_score_batch, payloads):
-        rows.extend(part)
-    return rows
-
-
-def _combine_rows(raw_rows, weights, mode, epsilon):
-    """Attach combined confidences: (id, ConfidenceReport | None)."""
-    out = []
-    for sid, raw in raw_rows:
-        if raw is None:
-            out.append((sid, None))
-            continue
-        y1, y2, c_a, c_b, c_c = raw
-        c = combine(c_a, c_b, c_c, weights, mode=mode, epsilon=epsilon)
-        out.append(
-            (
-                sid,
-                ConfidenceReport(
-                    predicted_label=y1,
-                    runner_up=y2,
-                    c_a=c_a,
-                    c_b=c_b,
-                    c_c=c_c,
-                    combined=c,
-                ),
-            )
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# One iteration
-# ---------------------------------------------------------------------------
-
-def run_iteration(state, iteration_index, base_seed, executor=None, workers=1):
-    """Train, score, admit; returns (new state, IterationRecord)."""
-    cfg = state.config
-    started = time.perf_counter()
-    triple = state.triple
-    dl_size = len(triple.labelled)
-    du_size = len(triple.unlabelled)
-
+def _train(cfg, triple, d, C, base_seed, iteration_index):
+    """Fresh model trained on D_l with the iteration's seeds; (model, val_error)."""
     model = init_model(
         cfg.classifier.architecture,
-        state.d,
-        state.C,
+        d,
+        C,
         seed=derive_seed(base_seed, iteration_index, "init"),
         hidden_units=cfg.classifier.hidden_units,
     )
@@ -173,113 +106,96 @@ def run_iteration(state, iteration_index, base_seed, executor=None, workers=1):
         validation=triple.validation if (early_stop and triple.validation) else None,
     )
     val_error = evaluate(model, triple.validation) if triple.validation else None
+    return model, val_error
 
+
+def _scored_blocks(samples, model, prototypes, cfg, seed):
+    """BlockScores of the scorable samples, in id order, SCORE_BLOCK at a time."""
+    ordered = sorted(samples, key=lambda s: s.id)
+    for start in range(0, len(ordered), SCORE_BLOCK):
+        block = score_block(
+            model,
+            prototypes,
+            cfg.augment,
+            ordered[start : start + SCORE_BLOCK],
+            seed,
+            population_std=cfg.population_std,
+        )
+        yield block[block.scorable]
+
+
+def _pseudo_label_accuracy(labelled):
+    """Accuracy of the pseudo-labels now in D_l that have ground truth."""
+    judged = [
+        s.assigned_label == s.true_label
+        for s in labelled
+        if s.provenance == PROVENANCE_PSEUDO and s.true_label is not None
+    ]
+    return sum(judged) / len(judged) if judged else None
+
+
+# ---------------------------------------------------------------------------
+# One iteration
+# ---------------------------------------------------------------------------
+
+def run_iteration(state, iteration_index, base_seed):
+    """Train, score, admit; returns (new state, IterationRecord)."""
+    cfg = state.config
+    started = time.perf_counter()
+    triple = state.triple
+
+    model, val_error = _train(cfg, triple, state.d, state.C, base_seed, iteration_index)
     prototypes = build_prototypes(model, triple.labelled)
     score_seed = derive_seed(base_seed, iteration_index, "score")
 
-    train_raw = _score_all(
-        triple.labelled,
-        model,
-        prototypes,
-        cfg.augment,
-        cfg.population_std,
-        score_seed,
-        executor,
-        workers,
+    train = BlockScores.concatenate(
+        list(_scored_blocks(triple.labelled, model, prototypes, cfg, score_seed))
     )
-    scorable_train = [(sid, raw) for sid, raw in train_raw if raw is not None]
-    if not scorable_train:
+    if not train.ids.size:
         raise DataError("no training sample could be scored")
-    train_labels = {s.id: s.assigned_label for s in triple.labelled}
+    labels = {s.id: s.assigned_label for s in triple.labelled}
+    correct = train.y1 == np.array([labels[sid] for sid in train.ids.tolist()])
 
     if cfg.confidence.weights is not None:
         weights = cfg.confidence.weights
     else:
-        weights = weights_from_scored(
-            [
-                (raw[2], raw[3], raw[4], raw[0] == train_labels[sid])
-                for sid, raw in scorable_train
-            ]
-        )
+        weights = weights_from_scored(train.c_a, train.c_b, train.c_c, correct)
 
+    mode, epsilon = cfg.confidence.combine_mode, cfg.confidence.epsilon
     strict = cfg.threshold.admit_rule == "open"
     if cfg.threshold.manual is not None:
         t_c = cfg.threshold.manual
     elif state.frozen_threshold is not None:
         t_c = state.frozen_threshold
     else:
-        scored_train = [
-            (
-                combine(
-                    raw[2],
-                    raw[3],
-                    raw[4],
-                    weights,
-                    mode=cfg.confidence.combine_mode,
-                    epsilon=cfg.confidence.epsilon,
-                ),
-                raw[0],
-                train_labels[sid],
-            )
-            for sid, raw in scorable_train
-        ]
-        t_c = learn_threshold(scored_train, cfg.threshold.target_accuracy, strict)
+        confidences = combine(train.c_a, train.c_b, train.c_c, weights, mode, epsilon)
+        target = cfg.threshold.target_accuracy
+        t_c = learn_threshold(confidences, correct, target, strict)
     frozen = state.frozen_threshold
     if cfg.threshold.refresh == "freeze_after_first" and frozen is None:
         frozen = t_c
 
     if cfg.loop.rescore_admitted:
         triple = release_pseudo(triple)
+    dl_size = len(triple.labelled)
+    du_size = len(triple.unlabelled)
 
-    pool_raw = _score_all(
-        triple.unlabelled,
-        model,
-        prototypes,
-        cfg.augment,
-        cfg.population_std,
-        score_seed,
-        executor,
-        workers,
-    )
-    pool_reports = [
-        (sid, rep)
-        for sid, rep in _combine_rows(
-            pool_raw, weights, cfg.confidence.combine_mode, cfg.confidence.epsilon
-        )
-        if rep is not None
-    ]
-    admissions = select_admissions(pool_reports, t_c, strict)
-    by_id = {s.id: s for s in triple.unlabelled}
-    with_truth = sum(1 for sid, _, _ in admissions if by_id[sid].true_label is not None)
-    correct = sum(
-        1
-        for sid, label, _ in admissions
-        if by_id[sid].true_label is not None and by_id[sid].true_label == label
-    )
+    admissions = []
+    for pool in _scored_blocks(triple.unlabelled, model, prototypes, cfg, score_seed):
+        confidences = combine(pool.c_a, pool.c_b, pool.c_c, weights, mode, epsilon)
+        admissions += select_admissions(pool.ids, pool.y1, confidences, t_c, strict)
 
     triple, admission_record = admit(triple, admissions, iteration_index)
     triple.validate()
 
-    new_state = replace(
-        state,
-        triple=triple,
-        frozen_threshold=frozen,
-        admitted_total=state.admitted_total + len(admissions),
-        admitted_with_truth=state.admitted_with_truth + with_truth,
-        admitted_correct=state.admitted_correct + correct,
-    )
-    cumulative = (
-        new_state.admitted_correct / new_state.admitted_with_truth
-        if new_state.admitted_with_truth
-        else None
-    )
+    new_state = replace(state, triple=triple, frozen_threshold=frozen)
     record = IterationRecord(
         iteration=iteration_index,
         dl_size=dl_size,
         du_size=du_size,
         added_count=len(admissions),
         addition_accuracy=admission_record.addition_accuracy,
-        cumulative_addition_accuracy=cumulative,
+        cumulative_addition_accuracy=_pseudo_label_accuracy(triple.labelled),
         val_error=val_error,
         threshold=t_c,
         wall_time=time.perf_counter() - started,
@@ -329,8 +245,8 @@ def _load_samples(cfg):
     return load_table(cfg.data.path, cfg.data.format)
 
 
-def run_single(cfg, samples, base_seed, executor=None, workers=1) -> RunReport:
-    """One full run on pre-loaded samples: benchmark, then the loop."""
+def run_single(cfg, samples, base_seed) -> RunReport:
+    """One full run on pre-loaded samples: the loop and its benchmark."""
     triple = datasets.split(
         samples,
         cfg.split.labelled_per_class,
@@ -340,33 +256,17 @@ def run_single(cfg, samples, base_seed, executor=None, workers=1) -> RunReport:
     d = len(triple.labelled[0].features)
     C = max(s.true_label for s in samples if s.true_label is not None) + 1
 
-    # labelled-only baseline; identical to iteration 1's training by seed design
-    early_stop = cfg.classifier.train.early_stop_patience is not None
-    bench_model = init_model(
-        cfg.classifier.architecture,
-        d,
-        C,
-        seed=derive_seed(base_seed, 1, "init"),
-        hidden_units=cfg.classifier.hidden_units,
-    )
-    bench_model = fit(
-        bench_model,
-        triple.labelled,
-        cfg.classifier.train,
-        seed=derive_seed(base_seed, 1, "fit"),
-        validation=triple.validation if (early_stop and triple.validation) else None,
-    )
-    benchmark = evaluate(bench_model, triple.validation) if triple.validation else None
-
     state = LoopState(config=cfg, triple=triple, d=d, C=C)
     records = []
     while not should_stop(records, cfg):
-        state, record = run_iteration(
-            state, len(records) + 1, base_seed, executor=executor, workers=workers
-        )
+        state, record = run_iteration(state, len(records) + 1, base_seed)
         records.append(record)
 
-    final = records[-1].val_error if records else benchmark
+    # the labelled-only baseline is iteration 1's model: same seeds, same data
+    if records:
+        benchmark, final = records[0].val_error, records[-1].val_error
+    else:
+        benchmark = final = _train(cfg, triple, d, C, base_seed, 1)[1]
     improvement = (
         benchmark - final if (benchmark is not None and final is not None) else None
     )
@@ -386,6 +286,8 @@ def run(cfg, base_seed=None, workers=1, output_dir=None) -> dict:
     ``base_seed`` overrides ``cfg.seed``; ``output_dir`` overrides the
     config's output directory without entering the report snapshot, so two
     runs of the same config into different directories are byte-identical.
+    Repeats run one after another in this process; ``workers`` is accepted
+    for compatibility and does not change the work or the results.
     """
     cfg.validate()
     if base_seed is not None:
@@ -395,25 +297,8 @@ def run(cfg, base_seed=None, workers=1, output_dir=None) -> dict:
         raise ConfigError("no output directory: set output_dir or pass --out")
 
     samples = _load_samples(cfg)
-    executor = None
-    try:
-        if workers > 1:
-            executor = ProcessPoolExecutor(
-                max_workers=workers, mp_context=get_context("spawn")
-            )
-        reports = []
-        for k in range(cfg.loop.repeat_count):
-            rep = run_single(
-                cfg,
-                samples,
-                base_seed=derive_seed(cfg.seed, "repeat", k),
-                executor=executor,
-                workers=workers,
-            )
-            reports.append(rep)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    seeds = [derive_seed(cfg.seed, "repeat", k) for k in range(cfg.loop.repeat_count)]
+    reports = [run_single(cfg, samples, seed) for seed in seeds]
 
     payload = build_payload(cfg, reports)
     write_artifacts(out_dir, payload, reports)

@@ -9,19 +9,10 @@ the target the sentinel +inf admits nothing.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-
-
-@dataclass
-class ThresholdPolicy:
-    target_accuracy: float  # required accuracy of the admitted set
-    value: float  # learned cut-off; +inf admits nothing
-    source: str = "train_data"  # "train_data" or "manual"
-    strict: bool = False  # False: admit confidence >= value; True: >
 
 
 def _pass_counts(confidences, correct, strict):
@@ -50,36 +41,40 @@ def _pass_counts(confidences, correct, strict):
     return candidates, k, num_correct
 
 
-def threshold_accuracy(scored, t_c, strict=False):
+def _as_arrays(confidences, correct):
+    confidences = np.asarray(confidences, dtype=np.float64)
+    correct = np.asarray(correct, dtype=bool)
+    if confidences.shape != correct.shape:
+        raise DataError(
+            f"{confidences.shape} confidences but {correct.shape} correctness flags"
+        )
+    if len(confidences) == 0:
+        raise DataError("cannot judge a threshold on an empty scored set")
+    return confidences, correct
+
+
+def threshold_accuracy(confidences, correct, t_c, strict=False):
     """Label accuracy among samples passing ``t_c``; None if nothing passes.
 
-    ``scored`` rows are (confidence, predicted_label, true_label).
+    ``confidences`` and ``correct`` are per-sample arrays: the combined
+    confidence and whether the predicted label is right.
     """
-    if not scored:
-        raise DataError("threshold_accuracy needs a non-empty scored list")
-    total = 0
-    correct = 0
-    for conf, pred, true in scored:
-        passes = conf > t_c if strict else conf >= t_c
-        if passes:
-            total += 1
-            correct += pred == true
+    confidences, correct = _as_arrays(confidences, correct)
+    passes = confidences > t_c if strict else confidences >= t_c
+    total = int(passes.sum())
     if total == 0:
         return None
-    return correct / total
+    return int(correct[passes].sum()) / total
 
 
-def learn_threshold(scored, target_accuracy, strict=False) -> float:
+def learn_threshold(confidences, correct, target_accuracy, strict=False) -> float:
     """Smallest observed confidence whose pass set is accurate enough.
 
-    Candidates are exactly the distinct confidence values in ``scored``;
+    Candidates are exactly the distinct values in ``confidences``;
     candidates whose pass set is empty are excluded rather than counted as
     successes. Returns +inf when no candidate qualifies.
     """
-    if not scored:
-        raise DataError("cannot learn a threshold from an empty scored list")
-    confidences = np.array([row[0] for row in scored], dtype=np.float64)
-    correct = np.array([row[1] == row[2] for row in scored], dtype=np.int64)
+    confidences, correct = _as_arrays(confidences, correct)
     candidates, k, num_correct = _pass_counts(confidences, correct, strict)
     with np.errstate(invalid="ignore", divide="ignore"):
         q = np.where(k > 0, num_correct / np.maximum(k, 1), np.nan)
@@ -90,14 +85,18 @@ def learn_threshold(scored, target_accuracy, strict=False) -> float:
     return float(candidates[np.nonzero(ok)[0][-1]])
 
 
-def select_admissions(scored_unlabelled, t_c, strict=False):
+def select_admissions(ids, labels, confidences, t_c, strict=False):
     """Admission tuples (id, label, confidence) for samples passing ``t_c``.
 
-    ``scored_unlabelled`` rows are (id, ConfidenceReport).
+    The arguments are per-sample arrays of ids, predicted labels and
+    combined confidences; the tuples come out in input order.
     """
-    out = []
-    for sid, report in scored_unlabelled:
-        passes = report.combined > t_c if strict else report.combined >= t_c
-        if passes:
-            out.append((sid, report.predicted_label, report.combined))
-    return out
+    confidences = np.asarray(confidences, dtype=np.float64)
+    passes = confidences > t_c if strict else confidences >= t_c
+    return list(
+        zip(
+            np.asarray(ids)[passes].tolist(),
+            np.asarray(labels)[passes].tolist(),
+            confidences[passes].tolist(),
+        )
+    )

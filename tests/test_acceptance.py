@@ -120,8 +120,7 @@ def test_threshold_matches_exhaustive_sweep_oracle():
             conf = rng.uniform(0, 1, size=n)
         correct = (rng.random(n) < rng.uniform(0.3, 1.0)).astype(int)
         target = float(rng.uniform(0.3, 1.0))
-        rows = [(float(c), 1, int(ok)) for c, ok in zip(conf, correct)]
-        got = learn_threshold(rows, target)
+        got = learn_threshold(conf, correct == 1, target)
         want = oracle_threshold(conf, correct, target)
         assert got == want, (trial, n, target, got, want)
         inf_count += math.isinf(got)
@@ -232,6 +231,7 @@ def test_report_json_byte_identical_across_runs_and_workers(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config_to_dict(cfg)))
 
+    # runs are serial; --workers is accepted and must change nothing
     outputs = []
     for name, workers in (("a", 1), ("b", 1), ("c", 4)):
         out = tmp_path / name

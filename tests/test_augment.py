@@ -23,9 +23,14 @@ def plan(*extra):
     return AugmentationPlan.from_transforms([Identity(), *extra])
 
 
+def one(t, features):
+    """A transform applied to a block holding one feature vector."""
+    return t.apply(np.asarray(features, dtype=np.float64)[None, :], [0], 0, 0)[0]
+
+
 def test_identity_plan_returns_the_original():
     s = make_sample(0, [1.0, 2.0, 3.0])
-    out = apply(AugmentationPlan.identity_only(), s, seed=0)
+    out = apply(AugmentationPlan.identity_only(), [s], seed=0)[0]
     assert len(out) == 1
     np.testing.assert_array_equal(out[0], s.features)
     out[0][0] = 99.0  # the returned vector is a copy
@@ -34,39 +39,43 @@ def test_identity_plan_returns_the_original():
 
 def test_zero_sigma_jitter_is_exact():
     s = make_sample(1, [0.5, -0.5])
-    out = apply(plan(GaussianJitter(sigma=0.0)), s, seed=3)
+    out = apply(plan(GaussianJitter(sigma=0.0)), [s], seed=3)[0]
     np.testing.assert_array_equal(out[1], s.features)
 
 
 def test_jitter_is_deterministic_per_sample_and_slot():
     p = plan(GaussianJitter(0.5), GaussianJitter(0.5))
     s = make_sample(7, [1.0, 2.0])
-    a = apply(p, s, seed=10)
-    b = apply(p, s, seed=10)
+    a = apply(p, [s], seed=10)[0]
+    b = apply(p, [s], seed=10)[0]
     for va, vb in zip(a, b):
         np.testing.assert_array_equal(va, vb)
     # two jitter slots with identical sigma still draw different noise
     assert not np.array_equal(a[1], a[2])
     # a different sample id gets different noise
-    other = apply(p, make_sample(8, [1.0, 2.0]), seed=10)
+    other = apply(p, [make_sample(8, [1.0, 2.0])], seed=10)[0]
     assert not np.array_equal(a[1], other[1])
 
 
 def test_apply_is_order_independent_across_samples():
     p = plan(GaussianJitter(0.3))
     s1, s2 = make_sample(1, [0.0, 0.0]), make_sample(2, [0.0, 0.0])
-    first = apply(p, s1, seed=5)
-    second = apply(p, s2, seed=5)
+    first = apply(p, [s1], seed=5)[0]
+    second = apply(p, [s2], seed=5)[0]
     # reversed processing order reproduces the same vectors
-    second_again = apply(p, s2, seed=5)
-    first_again = apply(p, s1, seed=5)
+    second_again = apply(p, [s2], seed=5)[0]
+    first_again = apply(p, [s1], seed=5)[0]
     np.testing.assert_array_equal(first[1], first_again[1])
     np.testing.assert_array_equal(second[1], second_again[1])
+    # so does scoring both in one block, in either order
+    block = apply(p, [s2, s1], seed=5)
+    np.testing.assert_array_equal(block[0], second)
+    np.testing.assert_array_equal(block[1], first)
 
 
 def test_hflip_hand_case():
     flip = GridHFlip(rows=2, cols=2)
-    out = flip.apply(np.array([1.0, 2.0, 3.0, 4.0]), None)
+    out = one(flip, [1.0, 2.0, 3.0, 4.0])
     np.testing.assert_array_equal(out, [2.0, 1.0, 4.0, 3.0])
 
 
@@ -85,27 +94,27 @@ def test_hflip_is_an_involution(rows, cols, data):
     )
     features = np.asarray(values)
     flip = GridHFlip(rows=rows, cols=cols)
-    twice = flip.apply(flip.apply(features, None), None)
+    twice = one(flip, one(flip, features))
     np.testing.assert_array_equal(twice, features)
 
 
 def test_shift_moves_and_zero_fills():
     g = np.array([1.0, 2.0, 3.0, 4.0])
-    out = GridShift(rows=2, cols=2, dx=1, dy=0).apply(g, None)
+    out = one(GridShift(rows=2, cols=2, dx=1, dy=0), g)
     np.testing.assert_array_equal(out, [0.0, 1.0, 0.0, 3.0])
-    out = GridShift(rows=2, cols=2, dx=0, dy=-1).apply(g, None)
+    out = one(GridShift(rows=2, cols=2, dx=0, dy=-1), g)
     np.testing.assert_array_equal(out, [3.0, 4.0, 0.0, 0.0])
-    out = GridShift(rows=2, cols=2, dx=0, dy=0).apply(g, None)
+    out = one(GridShift(rows=2, cols=2, dx=0, dy=0), g)
     np.testing.assert_array_equal(out, g)
-    out = GridShift(rows=2, cols=2, dx=5, dy=0).apply(g, None)
+    out = one(GridShift(rows=2, cols=2, dx=5, dy=0), g)
     np.testing.assert_array_equal(out, np.zeros(4))
 
 
 def test_grid_transforms_check_feature_count():
     with pytest.raises(DataError):
-        GridHFlip(rows=2, cols=3).apply(np.zeros(4), None)
+        one(GridHFlip(rows=2, cols=3), np.zeros(4))
     with pytest.raises(DataError):
-        GridShift(rows=2, cols=2, dx=1, dy=1).apply(np.zeros(5), None)
+        one(GridShift(rows=2, cols=2, dx=1, dy=1), np.zeros(5))
 
 
 def test_plan_must_start_with_identity():

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from ile import ConfigError, DataError, Sample, StateError, TrainConfig, TrainingError
+from ile import (
+    ConfigError,
+    DataError,
+    Sample,
+    StateError,
+    TrainConfig,
+    TrainingError,
+    generate,
+)
 from ile.classifier import (
     MLP,
     SOFTMAX_REGRESSION,
@@ -188,6 +196,14 @@ def test_fit_rejects_bad_inputs(separable_samples):
         fit(model, [make_sample(0, [1.0, 2.0, 3.0], 0)], TrainConfig(), seed=0)
     with pytest.raises(DataError, match="labels"):
         fit(model, [make_sample(0, [1.0, 2.0], 5)], TrainConfig(), seed=0)
+
+
+def test_diverging_training_fails_loudly():
+    samples = generate("rings", classes=3, per_class=60, noise=0.3, seed=1)
+    model = init_model(MLP, d=2, C=3, seed=1, hidden_units=8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingError, match="after epoch 23"):
+            fit(model, samples, TrainConfig(epochs=200, learning_rate=1e6), seed=2)
 
 
 def test_early_stopping_keeps_the_best_epoch(separable_samples, small_triple):

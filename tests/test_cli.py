@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from ile import TrainingError
@@ -93,6 +94,28 @@ def test_run_missing_data_file_names_the_path(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "ghost.csv" in err
+
+
+def test_run_rejects_non_finite_features_with_exit_two(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("id,label,f0\n0,0,1.0\n1,1,nan\n2,1,2.0\n")
+    cfg = config_file(tmp_path, data={"path": str(data)})
+    assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert "sample 1 has a non-finite feature" in capsys.readouterr().err
+
+
+def test_diverging_training_exits_with_three(tmp_path, capsys):
+    cfg = config_file(
+        tmp_path,
+        classifier={
+            "architecture": "mlp",
+            "hidden_units": 8,
+            "train": {"epochs": 200, "learning_rate": 1e6},
+        },
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o")) == 3
+    assert "training diverged" in capsys.readouterr().err
 
 
 def test_dry_run_touches_nothing(tmp_path, capsys):

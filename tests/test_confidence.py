@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ile import ConfigError, DataError
-from ile.augment import AugmentationPlan, GaussianJitter, Identity
-from ile.classifier import SOFTMAX_REGRESSION, ModelState
+from ile.augment import AugmentationPlan, GaussianJitter, GridHFlip, GridShift, Identity
+from ile.classifier import (
+    MLP,
+    SOFTMAX_REGRESSION,
+    ModelState,
+    init_model,
+    predict_proba,
+)
 from ile.confidence import (
     MetricWeights,
     MissingPrototypeError,
@@ -19,10 +26,13 @@ from ile.confidence import (
     metric_ca,
     metric_cb,
     metric_cc,
+    metrics_for_sample,
+    score_block,
     score_sample,
     top_two,
     weights_from_scored,
 )
+from ile.ensemble import ensemble_predict, select_distribution
 from ile.seeding import rng as seeded_rng
 
 from conftest import logit_model, make_sample
@@ -274,10 +284,9 @@ def test_score_sample_matches_straight_line_oracle():
             model, table, plan, sample, weights, mode=mode, seed=seed
         )
         vectors = [
-            t.apply(
-                np.asarray(sample.features, dtype=np.float64),
-                seeded_rng(seed, sample.id, i),
-            )
+            sample.features + seeded_rng(seed, sample.id, i).normal(0.0, t.sigma, d)
+            if isinstance(t, GaussianJitter)
+            else sample.features
             for i, t in enumerate(plan.transforms)
         ]
         y1, y2, c_a, c_b, c_c, c = oracle_score(
@@ -310,6 +319,11 @@ def test_score_sample_raises_without_prototype():
 # Weight calibration
 # ---------------------------------------------------------------------------
 
+def columns(rows):
+    """(c_a, c_b, c_c, correct) rows to the four per-sample arrays."""
+    return tuple(np.array(col) for col in zip(*rows))
+
+
 def test_equal_metric_accuracies_give_equal_weights():
     rows = [
         (0.9, 0.8, 0.1, True),
@@ -317,7 +331,7 @@ def test_equal_metric_accuracies_give_equal_weights():
         (0.3, 0.2, 0.8, False),
         (0.2, 0.1, 0.9, False),
     ]
-    w = weights_from_scored(rows)
+    w = weights_from_scored(*columns(rows))
     assert (w.w_a, w.w_b, w.w_c) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
 
@@ -329,16 +343,16 @@ def test_proportional_weight_normalization():
         (0.2, 0.80, 0.05, False),
         (0.1, 0.05, 0.90, False),
     ]
-    w = weights_from_scored(rows)
+    w = weights_from_scored(*columns(rows))
     assert (w.w_a, w.w_b, w.w_c) == pytest.approx((0.5, 0.25, 0.25))
 
 
 def test_all_wrong_falls_back_to_equal_weights():
     rows = [(0.9, 0.5, 0.1, False), (0.8, 0.4, 0.2, False), (0.7, 0.3, 0.3, False)]
-    w = weights_from_scored(rows)
+    w = weights_from_scored(*columns(rows))
     assert (w.w_a, w.w_b, w.w_c) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
     with pytest.raises(DataError):
-        weights_from_scored([])
+        weights_from_scored([], [], [], [])
 
 
 def test_calibrate_weights_end_to_end():
@@ -372,3 +386,126 @@ def test_calibrate_weights_skips_unscorable_samples():
         )
     with pytest.raises(DataError):
         calibrate_weights(model, table, AugmentationPlan.identity_only(), [], seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Block scoring against one-sample scoring
+# ---------------------------------------------------------------------------
+
+# float64 with a handful of rounding steps per metric; fixed before running
+BLOCK_RTOL, BLOCK_ATOL = 1e-12, 1e-14
+
+
+def one_sample_vectors(sample, plan, seed):
+    """The augmented copies of one sample, built transform by transform.
+
+    Written out per kind for a 2 x 2 grid, without ``augment.apply`` or the
+    transforms' block code, as the reference for the block path.
+    """
+    x = [float(v) for v in sample.features]
+    out = []
+    for slot, t in enumerate(plan.transforms):
+        if isinstance(t, GaussianJitter):
+            noise = seeded_rng(seed, sample.id, slot).normal(0.0, t.sigma, len(x))
+            out.append([v + e for v, e in zip(x, noise)])
+        elif isinstance(t, GridHFlip):
+            out.append([x[1], x[0], x[3], x[2]])
+        elif isinstance(t, GridShift):
+            assert (t.dx, t.dy) == (1, 0)
+            out.append([0.0, x[0], 0.0, x[2]])
+        else:
+            out.append(list(x))
+    return out
+
+
+def oracle_block_row(model, table, plan, sample, seed):
+    """Per-sample reference scores from the one-sample building blocks.
+
+    Each augmented copy goes through ``predict_proba`` alone; selection,
+    labels and metrics come from ``select_distribution`` on that sample's
+    own (A, C) matrix and from ``top_two`` / ``metric_*``. Returns None when
+    two rows of the ensemble tie within rounding, as either may then win.
+    """
+    z = np.array(
+        [predict_proba(model, v) for v in one_sample_vectors(sample, plan, seed)]
+    )
+    chosen = select_distribution(z)
+    row_best = np.sort((z - chosen.sigma).max(axis=1))[::-1]
+    if len(row_best) > 1 and row_best[0] - row_best[1] <= 1e-9:
+        return None
+    dist = chosen.distribution
+    y1, y2 = top_two(dist)
+    c_c = metric_cc(dist, table) if table.present(y1) else None
+    return dist, y1, y2, metric_ca(dist), metric_cb(dist), c_c
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    A=st.sampled_from([1, 3, 5]),
+    architecture=st.sampled_from([SOFTMAX_REGRESSION, MLP]),
+    n=st.integers(1, 40),
+    C=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    present=st.lists(st.booleans(), min_size=5, max_size=5),
+)
+def test_block_scoring_matches_one_sample_scoring(A, architecture, n, C, seed, present):
+    rng = np.random.default_rng(seed)
+    d = 4  # a 2 x 2 grid, so every transform kind applies
+    model = replace(
+        init_model(architecture, d, C, seed=seed, hidden_units=6),
+        trained=True,
+    )
+    model.params.update({k: 3.0 * v for k, v in model.params.items()})
+    pool = [
+        GaussianJitter(0.3),
+        GridHFlip(2, 2),
+        GridShift(2, 2, 1, 0),
+        GaussianJitter(0.8),
+    ]
+    plan = AugmentationPlan.from_transforms([Identity(), *pool[: A - 1]])
+    # classes without a prototype make some samples unscorable
+    counts = np.array(present[:C], dtype=np.int64)
+    table = proto_table(rng.dirichlet(np.ones(C), size=C), counts=counts)
+    ids = rng.choice(1 << 20, size=n, replace=False)
+    samples = [make_sample(int(i), rng.normal(scale=2.0, size=d)) for i in ids]
+
+    block = score_block(model, table, plan, samples, seed)
+    np.testing.assert_array_equal(block.ids, ids)
+    for i, s in enumerate(samples):
+        oracle = oracle_block_row(model, table, plan, s, seed)
+        if oracle is not None:
+            dist, y1, y2, c_a, c_b, c_c = oracle
+            top = np.sort(dist)[::-1]
+            if top[0] - top[1] > 1e-9:
+                assert block.y1[i] == y1
+                assert block.scorable[i] == (c_c is not None)
+                if C == 2 or top[1] - top[2] > 1e-9:
+                    assert block.y2[i] == y2
+            if block.scorable[i] and c_c is not None:
+                np.testing.assert_allclose(
+                    [block.c_a[i], block.c_b[i], block.c_c[i]],
+                    [c_a, c_b, c_c],
+                    rtol=BLOCK_RTOL,
+                    atol=BLOCK_ATOL,
+                )
+
+        dist = ensemble_predict(model, plan, s, seed).distribution
+        top = np.sort(dist)[::-1]
+        try:
+            y1, y2, c_a, c_b, c_c = metrics_for_sample(model, table, plan, s, seed)
+        except MissingPrototypeError:
+            if top[0] - top[1] > 1e-9:
+                assert not block.scorable[i]
+            continue
+        if top[0] - top[1] > 1e-9:
+            assert block.scorable[i]
+            assert block.y1[i] == y1
+            if C == 2 or top[1] - top[2] > 1e-9:
+                assert block.y2[i] == y2
+        if block.scorable[i]:
+            np.testing.assert_allclose(
+                [block.c_a[i], block.c_b[i], block.c_c[i]],
+                [c_a, c_b, c_c],
+                rtol=BLOCK_RTOL,
+                atol=BLOCK_ATOL,
+            )

@@ -131,6 +131,14 @@ def test_csv_round_trip_exact(tmp_path):
         np.testing.assert_array_equal(a.features, b.features)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_non_finite_feature_names_the_sample(tmp_path, value):
+    text = f"id,label,f0,f1\n0,0,1.0,2.0\n4,1,3.0,{value}\n"
+    path = write_csv(tmp_path / "t.csv", text)
+    with pytest.raises(DataError, match="sample 4 has a non-finite feature"):
+        load_table(path)
+
+
 # ---------------------------------------------------------------------------
 # Binary format
 # ---------------------------------------------------------------------------
@@ -168,6 +176,15 @@ def test_binary_truncated_records(tmp_path):
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[:-2])
     with pytest.raises(DataError, match="expected"):
+        load_table(path, format="binary")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_binary_non_finite_feature_names_the_sample(tmp_path, value):
+    samples = [make_sample(0, [1.0, 2.0], 0), make_sample(6, [value, 2.0], 1)]
+    path = str(tmp_path / "t.bin")
+    save_table(samples, path, format="binary")
+    with pytest.raises(DataError, match="sample 6 has a non-finite feature"):
         load_table(path, format="binary")
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -152,6 +153,23 @@ def test_rescore_mode_still_conserves():
     total = rep.iterations[0].dl_size + rep.iterations[0].du_size
     for r in rep.iterations:
         assert r.dl_size + r.du_size == total
+        assert r.added_count <= r.du_size
+
+
+def test_rescore_mode_on_the_fixture_runs_past_the_second_iteration():
+    from test_acceptance import fixture_config
+
+    cfg = replace(
+        fixture_config(0), loop=LoopSpec(max_iterations=4, rescore_admitted=True)
+    )
+    rep = run_report(cfg, base_seed=cfg.seed)
+    assert len(rep.iterations) > 2
+    for r in rep.iterations:
+        # admissions are released every iteration: D_l is the clean set again
+        assert (r.dl_size, r.du_size) == (40, 2000)
+        assert r.added_count <= r.du_size
+        # the pseudo-labels in D_l are exactly this iteration's admissions
+        assert r.cumulative_addition_accuracy == r.addition_accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +243,7 @@ def test_run_requires_an_output_directory():
 
 
 def test_run_worker_fanout_matches_serial(tmp_path):
+    # runs are serial; a worker count must change nothing in the report
     cfg = small_cfg(loop=LoopSpec(max_iterations=2))
     serial = run(cfg, output_dir=str(tmp_path / "serial"))
     fanned = run(cfg, workers=4, output_dir=str(tmp_path / "fanned"))

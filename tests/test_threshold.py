@@ -5,13 +5,16 @@ import time
 import numpy as np
 import pytest
 
-from ile import ConfidenceReport, DataError
+from ile import DataError
 from ile.threshold import learn_threshold, select_admissions, threshold_accuracy
 
 
 def scored(pairs):
-    """(confidence, correct) pairs to (confidence, predicted, true) rows."""
-    return [(conf, 1, 1 if ok else 0) for conf, ok in pairs]
+    """(confidence, correct) pairs to the (confidences, correct) arrays."""
+    return (
+        np.array([conf for conf, _ in pairs], dtype=np.float64),
+        np.array([ok for _, ok in pairs], dtype=bool),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -20,14 +23,16 @@ def scored(pairs):
 
 def test_accuracy_at_a_cut():
     rows = scored([(0.9, True), (0.8, True), (0.7, False)])
-    assert threshold_accuracy(rows, 0.75) == 1.0
-    assert threshold_accuracy(rows, -math.inf) == pytest.approx(2 / 3)
-    assert threshold_accuracy(rows, 0.95) is None
-    assert threshold_accuracy(rows, 0.8) == 1.0  # the cut itself passes
-    assert threshold_accuracy(rows, 0.8, strict=True) == 1.0  # only 0.9 passes
-    assert threshold_accuracy(rows, 0.7) == pytest.approx(2 / 3)
+    assert threshold_accuracy(*rows, 0.75) == 1.0
+    assert threshold_accuracy(*rows, -math.inf) == pytest.approx(2 / 3)
+    assert threshold_accuracy(*rows, 0.95) is None
+    assert threshold_accuracy(*rows, 0.8) == 1.0  # the cut itself passes
+    assert threshold_accuracy(*rows, 0.8, strict=True) == 1.0  # only 0.9 passes
+    assert threshold_accuracy(*rows, 0.7) == pytest.approx(2 / 3)
     with pytest.raises(DataError):
-        threshold_accuracy([], 0.5)
+        threshold_accuracy([], [], 0.5)
+    with pytest.raises(DataError):
+        threshold_accuracy([0.5, 0.6], [True], 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -36,30 +41,30 @@ def test_accuracy_at_a_cut():
 
 def test_learned_cut_admits_the_accurate_prefix():
     rows = scored([(0.9, True), (0.8, True), (0.7, False), (0.6, True)])
-    assert learn_threshold(rows, 0.99) == 0.8
-    assert learn_threshold(rows, 0.5) == 0.6
+    assert learn_threshold(*rows, 0.99) == 0.8
+    assert learn_threshold(*rows, 0.5) == 0.6
 
 
 def test_all_correct_gives_minimum_confidence():
     rows = scored([(0.9, True), (0.3, True), (0.5, True)])
-    assert learn_threshold(rows, 1.0) == 0.3
+    assert learn_threshold(*rows, 1.0) == 0.3
 
 
 def test_unattainable_target_gives_infinity():
     rows = scored([(0.9, False), (0.8, False)])
-    assert learn_threshold(rows, 0.5) == math.inf
+    assert learn_threshold(*rows, 0.5) == math.inf
     with pytest.raises(DataError):
-        learn_threshold([], 0.9)
+        learn_threshold([], [], 0.9)
 
 
 def test_tied_confidences_are_evaluated_jointly():
     rows = scored([(0.8, True), (0.8, False), (0.5, True)])
     # the 0.8 candidate admits both tied rows jointly: accuracy 1/2; the 0.5
     # candidate admits everything: accuracy 2/3. Nothing reaches 0.75.
-    assert learn_threshold(rows, 0.75) == math.inf
+    assert learn_threshold(*rows, 0.75) == math.inf
     # a lower cut can qualify where a higher one fails
-    assert learn_threshold(rows, 0.6) == 0.5
-    assert learn_threshold(rows, 0.5) == 0.5
+    assert learn_threshold(*rows, 0.6) == 0.5
+    assert learn_threshold(*rows, 0.5) == 0.5
 
 
 def test_learned_cut_satisfies_its_own_constraint():
@@ -70,8 +75,8 @@ def test_learned_cut_satisfies_its_own_constraint():
             [(round(rnd.uniform(0, 1), 2), rnd.random() < 0.7) for _ in range(n)]
         )
         for target in (0.6, 0.9, 1.0):
-            t_c = learn_threshold(rows, target)
-            q = threshold_accuracy(rows, t_c)
+            t_c = learn_threshold(*rows, target)
+            q = threshold_accuracy(*rows, t_c)
             assert q is None or q >= target
 
 
@@ -81,7 +86,7 @@ def test_threshold_is_monotone_in_the_target():
         rows = scored(
             [(round(rnd.uniform(0, 1), 1), rnd.random() < 0.6) for _ in range(40)]
         )
-        cuts = [learn_threshold(rows, t) for t in (0.2, 0.5, 0.8, 0.95, 1.0)]
+        cuts = [learn_threshold(*rows, t) for t in (0.2, 0.5, 0.8, 0.95, 1.0)]
         assert cuts == sorted(cuts)
 
 
@@ -114,10 +119,7 @@ def test_matches_exhaustive_sweep(strict):
             conf = rng.uniform(0, 1, size=n)
         correct = rng.random(n) < rng.uniform(0.3, 1.0)
         target = float(rng.uniform(0.3, 1.0))
-        rows = [
-            (float(c), 1, 1 if ok else 0) for c, ok in zip(conf, correct)
-        ]
-        got = learn_threshold(rows, target, strict=strict)
+        got = learn_threshold(conf, correct, target, strict=strict)
         want = oracle_threshold(conf, correct.astype(int), target, strict=strict)
         assert got == want, (trial, n, target, got, want)
     assert time.perf_counter() - start < 5.0
@@ -127,30 +129,36 @@ def test_matches_exhaustive_sweep(strict):
 # select_admissions
 # ---------------------------------------------------------------------------
 
-def report_with(conf, label=0):
-    return ConfidenceReport(
-        predicted_label=label, runner_up=1, c_a=conf, c_b=0.0, c_c=0.0, combined=conf
+def pool_of(confidences, labels=None):
+    """(ids, labels, confidences) arrays for pool samples 0..n-1."""
+    n = len(confidences)
+    return (
+        np.arange(n),
+        np.zeros(n, dtype=np.int64) if labels is None else np.asarray(labels),
+        np.asarray(confidences, dtype=np.float64),
     )
 
 
 def test_infinite_cut_admits_nothing():
-    rows = [(1, report_with(0.99)), (2, report_with(0.8))]
-    assert select_admissions(rows, math.inf) == []
-    assert select_admissions(rows, 1.5) == []
+    rows = pool_of([0.99, 0.8])
+    assert select_admissions(*rows, math.inf) == []
+    assert select_admissions(*rows, 1.5) == []
 
 
 def test_admissions_match_a_filter_and_ignore_order():
-    rows = [(i, report_with(c)) for i, c in enumerate([0.9, 0.4, 0.8, 0.7, 0.2])]
-    got = select_admissions(rows, 0.7)
+    rows = pool_of([0.9, 0.4, 0.8, 0.7, 0.2])
+    got = select_admissions(*rows, 0.7)
     assert {(sid, conf) for sid, _, conf in got} == {(0, 0.9), (2, 0.8), (3, 0.7)}
-    shuffled = list(reversed(rows))
-    got2 = select_admissions(shuffled, 0.7)
+    shuffled = tuple(a[::-1] for a in rows)
+    got2 = select_admissions(*shuffled, 0.7)
     assert sorted(got) == sorted(got2)
     # the boundary sample is dropped under the strict rule
-    strict = select_admissions(rows, 0.7, strict=True)
+    strict = select_admissions(*rows, 0.7, strict=True)
     assert {sid for sid, _, _ in strict} == {0, 2}
 
 
 def test_admissions_carry_label_and_confidence():
-    rows = [(5, report_with(0.9, label=3))]
-    assert select_admissions(rows, 0.5) == [(5, 3, 0.9)]
+    rows = (np.array([5]), np.array([3]), np.array([0.9]))
+    got = select_admissions(*rows, 0.5)
+    assert got == [(5, 3, 0.9)]
+    assert all(type(v) in (int, float) for v in got[0])
