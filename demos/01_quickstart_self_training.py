@@ -13,6 +13,7 @@ from ile.augment import AugmentationPlan, GaussianJitter, Identity
 from ile.classifier import TrainConfig
 from ile.config import (
     ClassifierSpec,
+    ConfidenceSpec,
     DataSource,
     LoopSpec,
     RunConfig,
@@ -28,6 +29,7 @@ cfg = RunConfig(
     augment=AugmentationPlan.from_transforms(
         [Identity(), GaussianJitter(0.4), GaussianJitter(0.4)]
     ),
+    confidence=ConfidenceSpec(weights=None),  # calibrate the weights each round
     threshold=ThresholdSpec(target_accuracy=0.97),
     loop=LoopSpec(max_iterations=8),
     seed=7,

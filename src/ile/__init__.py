@@ -22,9 +22,7 @@ from .classifier import (
     evaluate,
     fit,
     init_model,
-    load_model,
     predict_proba,
-    save_model,
 )
 from .config import RunConfig, config_from_dict, config_to_dict, load_config
 from .confidence import (
@@ -102,7 +100,6 @@ __all__ = [
     "init_model",
     "learn_threshold",
     "load_config",
-    "load_model",
     "load_table",
     "make_transform",
     "predict_proba",
@@ -110,7 +107,6 @@ __all__ = [
     "run",
     "run_iteration",
     "run_single",
-    "save_model",
     "save_table",
     "score_sample",
     "select_admissions",

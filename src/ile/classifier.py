@@ -5,7 +5,6 @@ tanh MLP. Both minimize cross-entropy (plus an L2 penalty on weight matrices)
 by mini-batch gradient descent and are fully deterministic given their seeds.
 """
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,9 +15,6 @@ from .seeding import rng
 
 SOFTMAX_REGRESSION = "softmax_regression"
 MLP = "mlp"
-
-_CHECKPOINT_MAGIC = b"ILEM"
-_ARCH_TAGS = {SOFTMAX_REGRESSION: 0, MLP: 1}
 
 
 @dataclass
@@ -53,10 +49,12 @@ class ModelState:
     trained: bool = False
 
 
-def _param_order(model):
-    if model.architecture == SOFTMAX_REGRESSION:
-        return ["W", "b"]
-    return ["W1", "b1", "W2", "b2"]
+def check_architecture(architecture, hidden_units):
+    """Raise ConfigError unless ``init_model`` accepts this architecture."""
+    if architecture not in (SOFTMAX_REGRESSION, MLP):
+        raise ConfigError(f"unknown architecture {architecture!r}")
+    if architecture == MLP and (hidden_units is None or hidden_units < 1):
+        raise ConfigError("mlp requires hidden_units >= 1")
 
 
 def init_model(architecture, d, C, seed, hidden_units=None) -> ModelState:
@@ -65,6 +63,7 @@ def init_model(architecture, d, C, seed, hidden_units=None) -> ModelState:
         raise ConfigError("feature dimension must be >= 1")
     if C < 2:
         raise ConfigError("need at least 2 classes")
+    check_architecture(architecture, hidden_units)
 
     def glorot(fan_in, fan_out, layer):
         s = np.sqrt(6.0 / (fan_in + fan_out))
@@ -73,17 +72,13 @@ def init_model(architecture, d, C, seed, hidden_units=None) -> ModelState:
     if architecture == SOFTMAX_REGRESSION:
         params = {"W": glorot(d, C, 0), "b": np.zeros(C)}
         hidden_units = 0
-    elif architecture == MLP:
-        if hidden_units is None or hidden_units < 1:
-            raise ConfigError("mlp requires hidden_units >= 1")
+    else:
         params = {
             "W1": glorot(d, hidden_units, 0),
             "b1": np.zeros(hidden_units),
             "W2": glorot(hidden_units, C, 1),
             "b2": np.zeros(C),
         }
-    else:
-        raise ConfigError(f"unknown architecture {architecture!r}")
     return ModelState(
         architecture=architecture,
         d=d,
@@ -220,66 +215,3 @@ def evaluate(model, samples) -> float:
     X, y = to_arrays(samples, labels="assigned")
     preds = np.argmax(predict_proba_batch(model, X), axis=1)
     return float(np.mean(preds != y))
-
-
-# ---------------------------------------------------------------------------
-# Parameter vector helpers and checkpoints
-# ---------------------------------------------------------------------------
-
-def flatten_params(model) -> np.ndarray:
-    return np.concatenate([model.params[k].ravel() for k in _param_order(model)])
-
-
-def unflatten_params(model, flat) -> dict:
-    expected = sum(v.size for v in model.params.values())
-    if len(flat) != expected:
-        raise DataError(
-            f"parameter vector has {len(flat)} entries, expected {expected}"
-        )
-    params = {}
-    off = 0
-    for k in _param_order(model):
-        shape = model.params[k].shape
-        size = int(np.prod(shape))
-        params[k] = np.asarray(flat[off : off + size], dtype=np.float64).reshape(shape)
-        off += size
-    return params
-
-
-def save_model(model, path):
-    """Checkpoint: magic 'ILEM', arch tag, dims, then little-endian f32 params."""
-    if not model.trained:
-        raise StateError("refusing to checkpoint an untrained model")
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIII",
-                _ARCH_TAGS[model.architecture],
-                model.d,
-                model.C,
-                model.hidden_units,
-            )
-        )
-        fh.write(flatten_params(model).astype("<f4").tobytes())
-
-
-def load_model(path) -> ModelState:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if blob[:4] != _CHECKPOINT_MAGIC:
-        raise DataError(f"{path}: bad checkpoint magic")
-    tag, d, C, hidden = struct.unpack_from("<IIII", blob, 4)
-    arch = {v: k for k, v in _ARCH_TAGS.items()}.get(tag)
-    if arch is None:
-        raise DataError(f"{path}: unknown architecture tag {tag}")
-    model = init_model(arch, d, C, seed=0, hidden_units=hidden or None)
-    flat = np.frombuffer(blob, dtype="<f4", offset=20).astype(np.float64)
-    try:
-        params = unflatten_params(model, flat)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    return replace(model, params=params, trained=True)

@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import loop, synth
-from .config import SYNTH_KINDS, load_config
+from .config import load_config
 from .datasets import save_table
 from .errors import ConfigError, DataError, IleError
 
@@ -31,7 +31,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset CSV")
-    p_synth.add_argument("kind", choices=SYNTH_KINDS)
+    p_synth.add_argument("kind", choices=synth.SYNTH_KINDS)
     p_synth.add_argument("--classes", type=int, default=2)
     p_synth.add_argument("--per-class", type=int, required=True)
     p_synth.add_argument("--noise", type=float, default=0.0)

@@ -1,20 +1,35 @@
-"""Run configuration: JSON file schema, validation and round-trip serialization.
+"""Run configuration: the dataclasses below are the JSON schema.
 
-Unknown keys are rejected so that typos fail loudly instead of silently
-falling back to defaults. Every consumer module reads exactly one section.
+One decoder and one encoder walk ``dataclasses.fields()``. A field's name
+is its JSON key, its annotation is the type a JSON value must have, and
+its default is what an omitted key means; a field without a default is
+required. Unknown keys are rejected so that typos fail loudly instead of
+silently falling back to defaults. The few fields whose JSON form differs
+from the field itself carry a codec in their metadata. Every consumer
+module reads exactly one section.
 """
 
 import json
-from dataclasses import dataclass, field
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
-from .augment import AugmentationPlan, Identity, transform_from_dict, transform_to_dict
-from .classifier import MLP, SOFTMAX_REGRESSION, TrainConfig
+from .augment import AugmentationPlan, transform_from_dict, transform_to_dict
+from .classifier import SOFTMAX_REGRESSION, TrainConfig, check_architecture
 from .confidence import COMBINE_MODES, MetricWeights
 from .errors import ConfigError
+from .synth import check_spec
 
-SYNTH_KINDS = ("blobs", "moons", "rings", "digits_grid")
 REFRESH_POLICIES = ("every_iteration", "freeze_after_first")
 ADMIT_RULES = ("closed", "open")
+
+
+class _Codec(NamedTuple):
+    """A field's own JSON form; ``decode`` returns MISSING for "the default"."""
+
+    decode: Callable  # (raw, where) -> value
+    encode: Callable  # value -> raw
 
 
 def _check_keys(mapping, allowed, where):
@@ -25,10 +40,44 @@ def _check_keys(mapping, allowed, where):
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _require(mapping, key, where):
-    if key not in mapping:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return mapping[key]
+def _decode_augment(raw, where):
+    if not isinstance(raw, list):
+        raise ConfigError(f"{where} must be a list of transform specs")
+    return AugmentationPlan.from_transforms([transform_from_dict(s) for s in raw])
+
+
+def _decode_weights(raw, where):
+    if raw == "calibrate":
+        return None
+    if not isinstance(raw, list) or len(raw) != 3:
+        raise ConfigError(f"{where} must be 'calibrate' or a list of three numbers")
+    weights = [_decode(float, w, f"{where}[{i}]") for i, w in enumerate(raw)]
+    return MetricWeights(*weights)
+
+
+def _decode_std(raw, where):
+    _check_keys(raw, ["std"], where)
+    if "std" not in raw:
+        return MISSING
+    std = _decode(str, raw["std"], f"{where}.std")
+    if std not in ("population", "sample"):
+        raise ConfigError(f"{where}.std must be 'population' or 'sample'")
+    return std == "population"
+
+
+_AUGMENT = _Codec(
+    _decode_augment, lambda plan: [transform_to_dict(t) for t in plan.transforms]
+)
+_WEIGHTS = _Codec(
+    _decode_weights, lambda w: "calibrate" if w is None else [w.w_a, w.w_b, w.w_c]
+)
+_STD = _Codec(_decode_std, lambda pop: {"std": "population" if pop else "sample"})
+
+
+def _json(key=None, codec=None, omit_none=False):
+    """Field metadata: a JSON key other than the field name, a codec, and
+    whether an unset (None) value is left out of the serialized form."""
+    return {"key": key, "codec": codec, "omit_none": omit_none}
 
 
 @dataclass(frozen=True)
@@ -39,21 +88,14 @@ class SynthSpec:
     noise: float = 0.0
 
     def validate(self):
-        if self.kind not in SYNTH_KINDS:
-            raise ConfigError(f"unsupported synthetic kind {self.kind!r}")
-        if self.classes < 2:
-            raise ConfigError("synthetic data needs at least 2 classes")
-        if self.per_class < 1:
-            raise ConfigError("per_class must be >= 1")
-        if self.noise < 0:
-            raise ConfigError("noise must be >= 0")
+        check_spec(self.kind, self.classes, self.per_class, self.noise)
 
 
 @dataclass(frozen=True)
 class DataSource:
-    path: str | None = None
+    path: str | None = field(default=None, metadata=_json(omit_none=True))
     format: str = "csv"
-    synth: SynthSpec | None = None
+    synth: SynthSpec | None = field(default=None, metadata=_json(omit_none=True))
 
     def validate(self):
         if (self.path is None) == (self.synth is None):
@@ -69,6 +111,12 @@ class SplitSpec:
     labelled_per_class: int
     validation_count: int
 
+    def validate(self):
+        if self.labelled_per_class < 1:
+            raise ConfigError("labelled_per_class must be >= 1")
+        if self.validation_count < 0:
+            raise ConfigError("validation_count must be >= 0")
+
 
 @dataclass(frozen=True)
 class ClassifierSpec:
@@ -77,18 +125,16 @@ class ClassifierSpec:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self):
-        if self.architecture not in (SOFTMAX_REGRESSION, MLP):
-            raise ConfigError(f"unknown architecture {self.architecture!r}")
-        if self.architecture == MLP and (
-            self.hidden_units is None or self.hidden_units < 1
-        ):
-            raise ConfigError("mlp requires hidden_units >= 1")
+        check_architecture(self.architecture, self.hidden_units)
         self.train.validate()
 
 
 @dataclass(frozen=True)
 class ConfidenceSpec:
-    weights: MetricWeights | None = None  # None means calibrate each iteration
+    # None means calibrate the weights each iteration
+    weights: MetricWeights | None = field(
+        default_factory=MetricWeights.equal, metadata=_json(codec=_WEIGHTS)
+    )
     combine_mode: str = "bounded"
     epsilon: float = 1e-6
 
@@ -137,21 +183,20 @@ class RunConfig:
     split: SplitSpec
     classifier: ClassifierSpec = field(default_factory=ClassifierSpec)
     augment: AugmentationPlan = field(
-        default_factory=AugmentationPlan.identity_only
+        default_factory=AugmentationPlan.identity_only, metadata=_json(codec=_AUGMENT)
     )
     confidence: ConfidenceSpec = field(default_factory=ConfidenceSpec)
     threshold: ThresholdSpec = field(default_factory=ThresholdSpec)
     loop: LoopSpec = field(default_factory=LoopSpec)
-    population_std: bool = True
+    population_std: bool = field(
+        default=True, metadata=_json(key="ensemble", codec=_STD)
+    )
     seed: int = 0
     output_dir: str | None = None
 
     def validate(self):
         self.data.validate()
-        if self.split.labelled_per_class < 1:
-            raise ConfigError("labelled_per_class must be >= 1")
-        if self.split.validation_count < 0:
-            raise ConfigError("validation_count must be >= 0")
+        self.split.validate()
         self.classifier.validate()
         self.confidence.validate()
         self.threshold.validate()
@@ -159,222 +204,68 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Decoding and encoding
 # ---------------------------------------------------------------------------
+
+def _key(f):
+    return f.metadata.get("key") or f.name
+
+
+_SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "text"}
+
+
+def _decode(tp, raw, where):
+    """The value of type ``tp`` that the JSON value ``raw`` at ``where`` encodes."""
+    if isinstance(tp, types.UnionType):  # ``X | None``
+        if raw is None:
+            return None
+        (tp,) = [t for t in tp.__args__ if t is not type(None)]
+    if is_dataclass(tp):
+        section = where or "config"
+        by_key = {_key(f): f for f in fields(tp)}
+        _check_keys(raw, by_key, section)
+        values = {}
+        for key, f in by_key.items():
+            if key not in raw:
+                if f.default is MISSING and f.default_factory is MISSING:
+                    raise ConfigError(f"missing required key {key!r} in {section}")
+                continue
+            codec = f.metadata.get("codec")
+            decode = codec.decode if codec else partial(_decode, f.type)
+            value = decode(raw[key], f"{where}.{key}" if where else key)
+            if value is not MISSING:
+                values[f.name] = value
+        return tp(**values)
+    if tp in (bool, str) and isinstance(raw, tp):
+        return raw
+    number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    if tp is float and number:
+        return float(raw)
+    if tp is int and number and raw % 1 == 0:
+        return int(raw)
+    raise ConfigError(f"{where} must be {_SCALARS[tp]}, got {raw!r}")
+
+
+def config_to_dict(obj) -> dict:
+    """The JSON form of a RunConfig, or of one of its sections."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is None and f.metadata.get("omit_none"):
+            continue
+        codec = f.metadata.get("codec")
+        if codec:
+            value = codec.encode(value)
+        elif is_dataclass(value):
+            value = config_to_dict(value)
+        out[_key(f)] = value
+    return out
+
 
 def config_from_dict(raw) -> RunConfig:
-    _check_keys(
-        raw,
-        [
-            "data",
-            "split",
-            "classifier",
-            "augment",
-            "confidence",
-            "threshold",
-            "loop",
-            "ensemble",
-            "seed",
-            "output_dir",
-        ],
-        "config",
-    )
-    cfg = RunConfig(
-        data=_parse_data(_require(raw, "data", "config")),
-        split=_parse_split(_require(raw, "split", "config")),
-        classifier=_parse_classifier(raw.get("classifier", {})),
-        augment=_parse_augment(raw.get("augment")),
-        confidence=_parse_confidence(raw.get("confidence", {})),
-        threshold=_parse_threshold(raw.get("threshold", {})),
-        loop=_parse_loop(raw.get("loop", {})),
-        population_std=_parse_ensemble(raw.get("ensemble", {})),
-        seed=int(raw.get("seed", 0)),
-        output_dir=raw.get("output_dir"),
-    )
+    cfg = _decode(RunConfig, raw, "")
     cfg.validate()
     return cfg
-
-
-def _parse_data(raw):
-    _check_keys(raw, ["path", "format", "synth"], "data")
-    synth = None
-    if "synth" in raw:
-        s = raw["synth"]
-        _check_keys(s, ["kind", "classes", "per_class", "noise"], "data.synth")
-        synth = SynthSpec(
-            kind=_require(s, "kind", "data.synth"),
-            classes=int(_require(s, "classes", "data.synth")),
-            per_class=int(_require(s, "per_class", "data.synth")),
-            noise=float(s.get("noise", 0.0)),
-        )
-    return DataSource(
-        path=raw.get("path"), format=raw.get("format", "csv"), synth=synth
-    )
-
-
-def _parse_split(raw):
-    _check_keys(raw, ["labelled_per_class", "validation_count"], "split")
-    return SplitSpec(
-        labelled_per_class=int(_require(raw, "labelled_per_class", "split")),
-        validation_count=int(_require(raw, "validation_count", "split")),
-    )
-
-
-def _parse_classifier(raw):
-    _check_keys(raw, ["architecture", "hidden_units", "train"], "classifier")
-    train_raw = raw.get("train", {})
-    _check_keys(
-        train_raw,
-        ["epochs", "learning_rate", "batch_size", "l2", "early_stop_patience"],
-        "classifier.train",
-    )
-    train = TrainConfig(
-        epochs=int(train_raw.get("epochs", 200)),
-        learning_rate=float(train_raw.get("learning_rate", 0.1)),
-        batch_size=int(train_raw.get("batch_size", 32)),
-        l2=float(train_raw.get("l2", 1e-4)),
-        early_stop_patience=(
-            None
-            if train_raw.get("early_stop_patience") is None
-            else int(train_raw["early_stop_patience"])
-        ),
-    )
-    hidden = raw.get("hidden_units")
-    return ClassifierSpec(
-        architecture=raw.get("architecture", SOFTMAX_REGRESSION),
-        hidden_units=None if hidden is None else int(hidden),
-        train=train,
-    )
-
-
-def _parse_augment(raw):
-    if raw is None:
-        return AugmentationPlan.identity_only()
-    if not isinstance(raw, list):
-        raise ConfigError("augment must be a list of transform specs")
-    transforms = [transform_from_dict(spec) for spec in raw]
-    if not transforms or not isinstance(transforms[0], Identity):
-        raise ConfigError("the first augment transform must be {'kind': 'identity'}")
-    return AugmentationPlan.from_transforms(transforms)
-
-
-def _parse_confidence(raw):
-    _check_keys(raw, ["weights", "combine_mode", "epsilon"], "confidence")
-    weights_raw = raw.get("weights", [1 / 3, 1 / 3, 1 / 3])
-    if weights_raw == "calibrate":
-        weights = None
-    elif isinstance(weights_raw, list) and len(weights_raw) == 3:
-        weights = MetricWeights(*(float(w) for w in weights_raw))
-    else:
-        raise ConfigError(
-            "confidence.weights must be 'calibrate' or a list of three numbers"
-        )
-    return ConfidenceSpec(
-        weights=weights,
-        combine_mode=raw.get("combine_mode", "bounded"),
-        epsilon=float(raw.get("epsilon", 1e-6)),
-    )
-
-
-def _parse_threshold(raw):
-    _check_keys(
-        raw, ["target_accuracy", "manual", "refresh", "admit_rule"], "threshold"
-    )
-    manual = raw.get("manual")
-    return ThresholdSpec(
-        target_accuracy=float(raw.get("target_accuracy", 0.99)),
-        manual=None if manual is None else float(manual),
-        refresh=raw.get("refresh", "every_iteration"),
-        admit_rule=raw.get("admit_rule", "closed"),
-    )
-
-
-def _parse_loop(raw):
-    _check_keys(
-        raw,
-        ["max_iterations", "patience", "repeat_count", "rescore_admitted"],
-        "loop",
-    )
-    return LoopSpec(
-        max_iterations=int(raw.get("max_iterations", 25)),
-        patience=int(raw.get("patience", 2)),
-        repeat_count=int(raw.get("repeat_count", 1)),
-        rescore_admitted=bool(raw.get("rescore_admitted", False)),
-    )
-
-
-def _parse_ensemble(raw):
-    _check_keys(raw, ["std"], "ensemble")
-    std = raw.get("std", "population")
-    if std not in ("population", "sample"):
-        raise ConfigError("ensemble.std must be 'population' or 'sample'")
-    return std == "population"
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def config_to_dict(cfg) -> dict:
-    data = {"format": cfg.data.format}
-    if cfg.data.path is not None:
-        data["path"] = cfg.data.path
-    if cfg.data.synth is not None:
-        s = cfg.data.synth
-        data["synth"] = {
-            "kind": s.kind,
-            "classes": s.classes,
-            "per_class": s.per_class,
-            "noise": s.noise,
-        }
-    out = {
-        "data": data,
-        "split": {
-            "labelled_per_class": cfg.split.labelled_per_class,
-            "validation_count": cfg.split.validation_count,
-        },
-        "classifier": {
-            "architecture": cfg.classifier.architecture,
-            "hidden_units": cfg.classifier.hidden_units,
-            "train": {
-                "epochs": cfg.classifier.train.epochs,
-                "learning_rate": cfg.classifier.train.learning_rate,
-                "batch_size": cfg.classifier.train.batch_size,
-                "l2": cfg.classifier.train.l2,
-                "early_stop_patience": cfg.classifier.train.early_stop_patience,
-            },
-        },
-        "augment": [transform_to_dict(t) for t in cfg.augment.transforms],
-        "confidence": {
-            "weights": (
-                "calibrate"
-                if cfg.confidence.weights is None
-                else [
-                    cfg.confidence.weights.w_a,
-                    cfg.confidence.weights.w_b,
-                    cfg.confidence.weights.w_c,
-                ]
-            ),
-            "combine_mode": cfg.confidence.combine_mode,
-            "epsilon": cfg.confidence.epsilon,
-        },
-        "threshold": {
-            "target_accuracy": cfg.threshold.target_accuracy,
-            "manual": cfg.threshold.manual,
-            "refresh": cfg.threshold.refresh,
-            "admit_rule": cfg.threshold.admit_rule,
-        },
-        "loop": {
-            "max_iterations": cfg.loop.max_iterations,
-            "patience": cfg.loop.patience,
-            "repeat_count": cfg.loop.repeat_count,
-            "rescore_admitted": cfg.loop.rescore_admitted,
-        },
-        "ensemble": {"std": "population" if cfg.population_std else "sample"},
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-    }
-    return out
 
 
 def load_config(path) -> RunConfig:

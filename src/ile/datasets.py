@@ -280,22 +280,27 @@ def save_table(samples, path, format="csv", num_classes=None):
 # ---------------------------------------------------------------------------
 
 def split(samples, labelled_per_class, validation_count, seed) -> DatasetTriple:
-    """Partition fully labelled samples into a DatasetTriple.
+    """Partition samples into a DatasetTriple.
 
     The labelled set takes ``labelled_per_class`` samples per class uniformly
     at random; the validation set is a uniform draw from the remainder; the
     rest becomes the unlabelled pool with assigned labels stripped (ground
-    truth stays hidden on the samples). Deterministic in ``seed``.
+    truth stays hidden on the samples). Samples without ground truth go
+    straight to the pool. Deterministic in ``seed``.
     """
     if labelled_per_class < 1:
         raise DataError("labelled_per_class must be >= 1")
     if validation_count < 0:
         raise DataError("validation_count must be >= 0")
     by_class = {}
+    unknown = []
     for s in samples:
         if s.true_label is None:
-            raise DataError(f"sample {s.id} has no ground-truth label; cannot split")
-        by_class.setdefault(s.true_label, []).append(s)
+            unknown.append(s)
+        else:
+            by_class.setdefault(s.true_label, []).append(s)
+    if not by_class:
+        raise DataError("no sample has a ground-truth label; cannot split")
 
     labelled = []
     remainder = []
@@ -322,11 +327,10 @@ def split(samples, labelled_per_class, validation_count, seed) -> DatasetTriple:
     order = rng(seed, "split-validation").permutation(len(remainder))
     val_idx = set(order[:validation_count].tolist())
     validation = [remainder[i] for i in sorted(val_idx)]
-    unlabelled = [
-        replace(remainder[i], assigned_label=None)
-        for i in range(len(remainder))
-        if i not in val_idx
-    ]
+    pool = [remainder[i] for i in range(len(remainder)) if i not in val_idx]
+    pool += unknown
+    pool.sort(key=lambda s: s.id)
+    unlabelled = [replace(s, assigned_label=None) for s in pool]
 
     labelled.sort(key=lambda s: s.id)
     triple = DatasetTriple(labelled, unlabelled, validation)

@@ -45,8 +45,6 @@ def make_blobs(classes, per_class, noise, seed, radius=4.0):
 
 def make_moons(classes, per_class, noise, seed):
     """Two interleaving half-circles; only supports exactly two classes."""
-    if classes != 2:
-        raise ConfigError("moons supports exactly 2 classes")
     t = np.linspace(0.0, np.pi, per_class)
     upper = np.column_stack([np.cos(t), np.sin(t)])
     lower = np.column_stack([1.0 - np.cos(t), 0.5 - np.sin(t)])
@@ -85,17 +83,24 @@ _GENERATORS = {
     "rings": make_rings,
     "digits_grid": make_digits_grid,
 }
+SYNTH_KINDS = tuple(_GENERATORS)
 
 
-def generate(kind, classes, per_class, noise, seed):
-    """Dispatch to a generator by kind name."""
-    gen = _GENERATORS.get(kind)
-    if gen is None:
+def check_spec(kind, classes, per_class, noise):
+    """Raise ConfigError unless ``generate`` accepts these arguments."""
+    if kind not in _GENERATORS:
         raise ConfigError(f"unsupported synthetic kind {kind!r}")
     if classes < 2:
-        raise ConfigError("need at least 2 classes")
+        raise ConfigError("synthetic data needs at least 2 classes")
+    if kind == "moons" and classes != 2:
+        raise ConfigError("moons supports exactly 2 classes")
     if per_class < 1:
         raise ConfigError("per_class must be >= 1")
     if noise < 0:
         raise ConfigError("noise must be >= 0")
-    return gen(classes, per_class, noise, seed)
+
+
+def generate(kind, classes, per_class, noise, seed):
+    """Dispatch to a generator by kind name."""
+    check_spec(kind, classes, per_class, noise)
+    return _GENERATORS[kind](classes, per_class, noise, seed)

@@ -15,33 +15,34 @@ from ile.classifier import (
     SOFTMAX_REGRESSION,
     evaluate,
     fit,
-    flatten_params,
     init_model,
-    load_model,
     loss_and_grad,
     predict_proba,
     predict_proba_batch,
-    save_model,
     softmax,
-    unflatten_params,
 )
 
 from conftest import logit_model, make_sample
 
 
+def flat_params(model):
+    """All parameters of ``model`` as one vector, in insertion order."""
+    return np.concatenate([v.ravel() for v in model.params.values()])
+
+
 def test_parameter_counts():
     m = init_model(SOFTMAX_REGRESSION, d=2, C=3, seed=0)
-    assert flatten_params(m).size == 2 * 3 + 3
+    assert flat_params(m).size == 2 * 3 + 3
     m = init_model(MLP, d=4, C=2, seed=0, hidden_units=16)
-    assert flatten_params(m).size == (4 * 16 + 16) + (16 * 2 + 2)
+    assert flat_params(m).size == (4 * 16 + 16) + (16 * 2 + 2)
 
 
 def test_init_is_deterministic_and_seed_sensitive():
     a = init_model(MLP, d=3, C=2, seed=5, hidden_units=4)
     b = init_model(MLP, d=3, C=2, seed=5, hidden_units=4)
     c = init_model(MLP, d=3, C=2, seed=6, hidden_units=4)
-    np.testing.assert_array_equal(flatten_params(a), flatten_params(b))
-    assert not np.array_equal(flatten_params(a), flatten_params(c))
+    np.testing.assert_array_equal(flat_params(a), flat_params(b))
+    assert not np.array_equal(flat_params(a), flat_params(c))
     np.testing.assert_array_equal(a.params["b1"], np.zeros(4))
     np.testing.assert_array_equal(a.params["b2"], np.zeros(2))
 
@@ -179,12 +180,12 @@ def test_fit_is_deterministic(separable_samples):
     a = fit(model, separable_samples, cfg, seed=11)
     b = fit(model, separable_samples, cfg, seed=11)
     c = fit(model, separable_samples, cfg, seed=12)
-    np.testing.assert_array_equal(flatten_params(a), flatten_params(b))
-    assert not np.array_equal(flatten_params(a), flatten_params(c))
+    np.testing.assert_array_equal(flat_params(a), flat_params(b))
+    assert not np.array_equal(flat_params(a), flat_params(c))
     # the input model is untouched
     assert not model.trained
     np.testing.assert_array_equal(
-        flatten_params(model), flatten_params(init_model(MLP, 2, 2, 3, hidden_units=5))
+        flat_params(model), flat_params(init_model(MLP, 2, 2, 3, hidden_units=5))
     )
 
 
@@ -245,44 +246,3 @@ def test_evaluate_error_fractions():
     assert evaluate(m, mixed) == 0.25
     with pytest.raises(DataError):
         evaluate(m, [])
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-def test_checkpoint_round_trip(tmp_path, separable_model, separable_samples):
-    path = str(tmp_path / "model.ilem")
-    save_model(separable_model, path)
-    back = load_model(path)
-    assert back.architecture == separable_model.architecture
-    assert (back.d, back.C) == (2, 2)
-    assert back.trained
-    np.testing.assert_allclose(
-        flatten_params(back), flatten_params(separable_model), rtol=1e-6, atol=1e-6
-    )
-    X = np.stack([s.features for s in separable_samples[:20]])
-    a = np.argmax(predict_proba_batch(separable_model, X), axis=1)
-    b = np.argmax(predict_proba_batch(back, X), axis=1)
-    np.testing.assert_array_equal(a, b)
-
-
-def test_checkpoint_rejects_untrained_and_garbage(tmp_path):
-    model = init_model(SOFTMAX_REGRESSION, d=2, C=2, seed=0)
-    with pytest.raises(StateError):
-        save_model(model, str(tmp_path / "x"))
-    bad = tmp_path / "bad"
-    bad.write_bytes(b"XXXX" + b"\x00" * 16)
-    with pytest.raises(DataError, match="magic"):
-        load_model(str(bad))
-    with pytest.raises(DataError):
-        load_model(str(tmp_path / "missing"))
-
-
-def test_unflatten_checks_length():
-    model = init_model(SOFTMAX_REGRESSION, d=2, C=2, seed=0)
-    with pytest.raises(DataError):
-        unflatten_params(model, np.zeros(5))
-    params = unflatten_params(model, np.arange(6.0))
-    assert params["W"].shape == (2, 2)
-    assert params["b"].shape == (2,)

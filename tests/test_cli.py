@@ -87,6 +87,9 @@ def test_run_exit_codes(tmp_path):
     assert run_cli("run", "--config", cfg) == 1  # no output dir anywhere
     assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "0") == 1
 
+    wrong_type = config_file(tmp_path, loop={"rescore_admitted": "false"})
+    assert run_cli("run", "--config", wrong_type, "--out", str(tmp_path / "o")) == 1
+
 
 def test_run_missing_data_file_names_the_path(tmp_path, capsys):
     cfg = config_file(tmp_path, data={"path": str(tmp_path / "ghost.csv")})
@@ -102,6 +105,42 @@ def test_run_rejects_non_finite_features_with_exit_two(tmp_path, capsys):
     cfg = config_file(tmp_path, data={"path": str(data)})
     assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert "sample 1 has a non-finite feature" in capsys.readouterr().err
+
+
+def test_run_on_a_header_only_table_exits_two(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("id,label,f0,f1\n")
+    cfg = config_file(tmp_path, data={"path": str(data)})
+    assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert "ground-truth" in capsys.readouterr().err
+
+
+def test_run_with_an_unlabelled_pool_reports_no_addition_accuracy(tmp_path):
+    # 15 labelled rows per class fill D_l (5 each) and validation (30);
+    # every pool row has an empty label
+    from ile import generate, save_table
+    from ile.datasets import Sample
+
+    samples = generate("blobs", 3, 40, 0.8, seed=5)
+    rows = [
+        s if s.id % 40 < 15 else Sample(id=s.id, features=s.features) for s in samples
+    ]
+    data = tmp_path / "data.csv"
+    save_table(rows, str(data))
+    cfg = config_file(
+        tmp_path,
+        data={"path": str(data)},
+        split={"labelled_per_class": 5, "validation_count": 30},
+    )
+    out = tmp_path / "o"
+    assert run_cli("run", "--config", cfg, "--out", str(out)) == 0
+    records = json.loads((out / "report.json").read_text())["iterations"]
+    assert records[0]["du_size"] == 3 * 25
+    assert sum(r["added_count"] for r in records) > 0
+    for r in records:
+        assert r["addition_accuracy"] is None
+        assert r["cumulative_addition_accuracy"] is None
+    assert run_cli("report", str(out)) == 0
 
 
 def test_diverging_training_exits_with_three(tmp_path, capsys):

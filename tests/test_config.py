@@ -1,10 +1,19 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from ile import ConfigError, MetricWeights, load_config
 from ile.augment import GaussianJitter, GridHFlip, Identity
-from ile.config import config_from_dict, config_to_dict
+from ile.config import (
+    DataSource,
+    RunConfig,
+    SplitSpec,
+    SynthSpec,
+    config_from_dict,
+    config_to_dict,
+)
 
 MINIMAL = {
     "data": {"synth": {"kind": "blobs", "classes": 3, "per_class": 50}},
@@ -169,6 +178,20 @@ def test_data_source_needs_exactly_one_origin():
         ("loop", {"patience": 0}, "patience"),
         ("loop", {"repeat_count": 0}, "repeat_count"),
         ("ensemble", {"std": "robust"}, "std"),
+        ("data", {"synth": {"kind": "moons", "classes": 3, "per_class": 5}}, "moons"),
+        # JSON types are checked strictly and the error names the dotted key
+        ("loop", {"rescore_admitted": "false"}, "loop.rescore_admitted"),
+        ("loop", {"rescore_admitted": 0}, "loop.rescore_admitted"),
+        ("classifier", {"train": {"epochs": 2.9}}, "classifier.train.epochs"),
+        ("classifier", {"train": {"epochs": True}}, "classifier.train.epochs"),
+        ("classifier", {"train": {"batch_size": "32"}}, "classifier.train.batch_size"),
+        ("classifier", {"train": {"learning_rate": False}}, "classifier.train.learning_rate"),
+        ("classifier", {"architecture": 1}, "classifier.architecture"),
+        ("threshold", {"target_accuracy": "0.9"}, "threshold.target_accuracy"),
+        ("data", {"synth": {"kind": "blobs", "classes": 2.5, "per_class": 5}}, "data.synth.classes"),
+        ("confidence", {"weights": [0.5, True, 0.2]}, "confidence.weights"),
+        ("ensemble", {"std": 1}, "ensemble.std"),
+        ("seed", True, "seed"),
     ],
 )
 def test_invalid_values_are_rejected(section, patch, needle):
@@ -179,6 +202,34 @@ def test_invalid_values_are_rejected(section, patch, needle):
     raw[section] = patch
     with pytest.raises(ConfigError, match=needle):
         config_from_dict(raw)
+
+
+def test_whole_numbers_coerce_to_the_field_type():
+    raw = dict(
+        MINIMAL,
+        classifier={"train": {"epochs": 60.0, "learning_rate": 1}},
+        confidence={"weights": [1, 0, 0]},
+    )
+    cfg = config_from_dict(raw)
+    assert cfg.classifier.train.epochs == 60 and type(cfg.classifier.train.epochs) is int
+    assert type(cfg.classifier.train.learning_rate) is float
+    assert cfg.confidence.weights == MetricWeights(1.0, 0.0, 0.0)
+
+
+def test_python_and_json_defaults_agree():
+    python = RunConfig(
+        data=DataSource(synth=SynthSpec("blobs", classes=3, per_class=50)),
+        split=SplitSpec(labelled_per_class=5, validation_count=20),
+    )
+    assert config_from_dict(MINIMAL) == python
+
+
+def test_readme_config_block_matches_the_code():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Configuration") :]
+    block = section[section.index("```jsonc") + len("```jsonc") : section.index("\n```\n")]
+    raw = json.loads(re.sub(r"//.*", "", block))
+    assert config_to_dict(config_from_dict(raw)) == raw
 
 
 def test_augment_must_lead_with_identity():

@@ -264,6 +264,22 @@ def test_split_is_deterministic_and_order_insensitive():
     assert [s.id for s in t1.labelled] != [s.id for s in t4.labelled]
 
 
+def test_split_sends_rows_without_ground_truth_to_the_pool():
+    # labelled rows get even ids, unknown rows odd ids in between them
+    known = [
+        make_sample(2 * s.id, s.features, s.true_label) for s in blob_samples()
+    ]
+    unknown = [make_sample(2 * i + 1, [0.5, float(i)], None) for i in range(0, 36, 5)]
+    before = split(known, 4, 6, seed=3)
+    after = split(known + unknown, 4, 6, seed=3)
+    assert [s.id for s in after.labelled] == [s.id for s in before.labelled]
+    assert [s.id for s in after.validation] == [s.id for s in before.validation]
+    pool_ids = [s.id for s in after.unlabelled]
+    assert pool_ids == sorted([s.id for s in before.unlabelled] + [s.id for s in unknown])
+    assert all(s.assigned_label is None for s in after.unlabelled)
+    after.validate()
+
+
 def test_split_errors():
     samples = blob_samples(per_class=3)
     with pytest.raises(DataError, match="class"):

@@ -197,6 +197,27 @@ def test_step_by_step_invariants_hold():
         )
 
 
+def test_addition_accuracy_counts_only_rows_with_ground_truth():
+    cfg = small_cfg()
+    base_seed = 3
+    samples = [
+        replace(s, true_label=None, assigned_label=None) if s.id % 3 == 0 else s
+        for s in loop._load_samples(cfg)
+    ]
+    from ile.datasets import split as split_samples
+
+    triple = split_samples(samples, 5, 30, seed=derive_seed(base_seed, "split"))
+    state = LoopState(config=cfg, triple=triple, d=2, C=3)
+    state, record = run_iteration(state, 1, base_seed)
+    admitted = [s for s in state.triple.labelled if s.admitted_iteration == 1]
+    judged = [s for s in admitted if s.true_label is not None]
+    assert len(judged) < len(admitted) == record.added_count
+    assert judged, "expected admitted rows with ground truth"
+    expected = sum(s.assigned_label == s.true_label for s in judged) / len(judged)
+    assert record.addition_accuracy == expected
+    assert record.cumulative_addition_accuracy == expected
+
+
 def test_should_stop_rules():
     cfg = small_cfg(loop=LoopSpec(max_iterations=5, patience=2))
 
