@@ -10,6 +10,7 @@ from ile.confidence import (
     build_prototypes,
     calibrate_weights,
     combine,
+    score_block,
     score_sample,
 )
 from ile.datasets import split
@@ -32,16 +33,19 @@ print()
 plan = AugmentationPlan.identity_only()
 weights = MetricWeights.equal()
 
-# pick the pool sample the model is most sure about, and the one it is
-# least sure about, then compare their metric breakdowns
-scored = [
-    (s, score_sample(model, prototypes, plan, s, weights, seed=5))
-    for s in triple.unlabelled
-]
-scored.sort(key=lambda pair: pair[1].combined)
+# The pool is one sample set: ids, features X (n, d) and labels as arrays.
+# Score it as one block, pick the sample the model is most sure about and
+# the one it is least sure about, then compare their metric breakdowns.
+pool = triple.unlabelled
+block = score_block(model, prototypes, plan, pool, seed=5)
+order = np.argsort(combine(block.c_a, block.c_b, block.c_c, weights), kind="stable")
 
-for tag, (sample, rep) in [("least confident", scored[0]), ("most confident", scored[-1])]:
-    print(f"{tag}: sample {sample.id} at {np.round(sample.features, 2)}")
+reports = []
+for tag, i in [("least confident", order[0]), ("most confident", order[-1])]:
+    sample = pool[i : i + 1]  # a one-row set
+    rep = score_sample(model, prototypes, plan, sample, weights, seed=5)
+    reports.append(rep)
+    print(f"{tag}: sample {sample.ids[0]} at {np.round(sample.X[0], 2)}")
     print(f"  predicted class {rep.predicted_label} (runner-up {rep.runner_up})")
     print(f"  c_a top probability      {rep.c_a:.3f}")
     print(f"  c_b margin over runner-up {rep.c_b:.3f}")
@@ -51,7 +55,7 @@ for tag, (sample, rep) in [("least confident", scored[0]), ("most confident", sc
 
 # c_c is a distance, so the combination maps it through 1/(1+c_c) by
 # default; the "reciprocal" mode uses 1/max(c_c, eps) instead.
-rep = scored[0][1]
+rep = reports[0]
 for mode in ("bounded", "reciprocal"):
     c = combine(rep.c_a, rep.c_b, rep.c_c, weights, mode=mode)
     print(f"combined with mode={mode!r}: {c:.3f}")

@@ -14,7 +14,7 @@ from ile import augment, derive_seed, generate
 from ile.augment import AugmentationPlan, GaussianJitter, Identity
 from ile.classifier import SOFTMAX_REGRESSION, TrainConfig, fit, init_model, predict_proba
 from ile.datasets import split
-from ile.ensemble import ensemble_predict, select_distribution
+from ile.ensemble import ensemble_posteriors, ensemble_predict, select_distribution
 
 # --- a hand-sized matrix first ---------------------------------------------
 # Row 0 is the more confident one (0.70), but it stakes that claim on
@@ -42,22 +42,20 @@ plan = AugmentationPlan.from_transforms(
     [Identity(), GaussianJitter(0.6), GaussianJitter(0.6), GaussianJitter(0.6)]
 )
 
-# find a pool sample where the jittered copies disagree the most
-def spread(s):
-    vectors = augment.apply(plan, [s], seed=11)[0]
-    z = np.stack([predict_proba(model, v) for v in vectors])
-    return float(select_distribution(z).sigma.max())
-
-shaky = max(triple.unlabelled, key=spread)
-vectors = augment.apply(plan, [shaky], seed=11)[0]
+# find the pool sample whose jittered copies disagree the most: the whole
+# pool goes through as one (n, A, C) block of posteriors
+pool = triple.unlabelled
+spread = select_distribution(ensemble_posteriors(model, plan, pool, seed=11)).sigma
+shaky = pool[[int(np.argmax(spread.max(axis=1)))]]  # a one-row set
+vectors = augment.apply(plan, shaky, seed=11)[0]
 z = np.stack([predict_proba(model, v) for v in vectors])
 
-print(f"sample {shaky.id} at {np.round(shaky.features, 2)} (slot 0 is the identity):")
+print(f"sample {shaky.ids[0]} at {np.round(shaky.X[0], 2)} (slot 0 is the identity):")
 for i, row in enumerate(z):
     print(f"  slot {i}: {np.round(row, 3)}")
 
 result = ensemble_predict(model, plan, shaky, seed=11)
-plain = predict_proba(model, shaky.features)
+plain = predict_proba(model, shaky.X[0])
 print(f"sigma {np.round(result.sigma, 3)}")
 print(f"ensemble keeps slot {result.chosen_index}: {np.round(result.distribution, 3)}")
 print(f"plain single prediction:  {np.round(plain, 3)}")

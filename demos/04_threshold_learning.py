@@ -55,5 +55,6 @@ pool_ids = np.array([101, 102, 103])
 pool_labels = np.array([0, 1, 0])
 pool_confidences = np.array([0.91, 0.84, 0.61])
 t_c = learn_threshold(confidences, correct, 0.8)
-admissions = select_admissions(pool_ids, pool_labels, pool_confidences, t_c)
+ids, labels, confs = select_admissions(pool_ids, pool_labels, pool_confidences, t_c)
+admissions = list(zip(ids.tolist(), labels.tolist(), confs.tolist()))
 print(f"threshold {t_c:.2f} admits {len(admissions)} of {len(pool_ids)}: {admissions}")

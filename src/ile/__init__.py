@@ -37,7 +37,7 @@ from .confidence import (
 from .datasets import (
     AdmissionRecord,
     DatasetTriple,
-    Sample,
+    Samples,
     admit,
     load_table,
     save_table,
@@ -82,7 +82,7 @@ __all__ = [
     "RunConfig",
     "RunReport",
     "SOFTMAX_REGRESSION",
-    "Sample",
+    "Samples",
     "StateError",
     "TrainConfig",
     "TrainingError",

@@ -6,11 +6,12 @@ that are row-major flattenings of a rows x cols grid. The transform list is
 fully config-driven; the original sample is always element 0 of the ensemble.
 """
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .datasets import to_arrays
 from .errors import ConfigError, DataError
 from .seeding import rng
 
@@ -27,6 +28,15 @@ class GaussianJitter:
 
     sigma: float
 
+    def __post_init__(self):
+        s = self.sigma
+        number = isinstance(s, numbers.Real) and not isinstance(s, bool)
+        if not number or not math.isfinite(s) or s < 0:
+            raise ConfigError(
+                "transform 'gaussian_jitter': sigma must be a finite number >= 0, "
+                f"got {s!r}"
+            )
+
     def apply(self, X, ids, seed, slot):
         if self.sigma == 0.0:
             return X
@@ -34,6 +44,19 @@ class GaussianJitter:
         for i, sid in enumerate(ids):
             noise[i] = rng(seed, sid, slot).normal(0.0, self.sigma, size=X.shape[1])
         return X + noise
+
+
+def _check_grid(t, kind):
+    """Grid parameters are integers, with rows and cols at least 1."""
+    for f in fields(t):
+        value = getattr(t, f.name)
+        least = 1 if f.name in ("rows", "cols") else None
+        integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        if not integer or (least is not None and value < least):
+            bound = f" >= {least}" if least is not None else ""
+            raise ConfigError(
+                f"transform {kind!r}: {f.name} must be an integer{bound}, got {value!r}"
+            )
 
 
 def _as_grids(X, rows, cols):
@@ -49,6 +72,9 @@ class GridHFlip:
     rows: int
     cols: int
 
+    def __post_init__(self):
+        _check_grid(self, "grid_hflip")
+
     def apply(self, X, ids, seed, slot):
         return _as_grids(X, self.rows, self.cols)[:, :, ::-1].reshape(len(X), -1)
 
@@ -61,6 +87,9 @@ class GridShift:
     cols: int
     dx: int
     dy: int
+
+    def __post_init__(self):
+        _check_grid(self, "grid_shift")
 
     def apply(self, X, ids, seed, slot):
         g = _as_grids(X, self.rows, self.cols)
@@ -142,9 +171,8 @@ def apply(plan, samples, seed):
     slot), so results are independent of how samples are grouped or
     ordered, and noise-free transforms build no stream at all.
     """
-    X, _ = to_arrays(samples, labels=None)
-    ids = [s.id for s in samples]
-    out = np.empty((len(samples), plan.count, X.shape[1]))
+    ids = samples.ids.tolist()  # Python ints: seed parts
+    out = np.empty((len(samples), plan.count, samples.X.shape[1]))
     for slot, t in enumerate(plan.transforms):
-        out[:, slot] = t.apply(X, ids, seed, slot)
+        out[:, slot] = t.apply(samples.X, ids, seed, slot)
     return out

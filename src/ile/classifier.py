@@ -9,7 +9,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datasets import to_arrays
 from .errors import ConfigError, DataError, StateError, TrainingError
 from .seeding import rng
 
@@ -146,7 +145,7 @@ def fit(model, labelled, config, seed, validation=None) -> ModelState:
     config.validate()
     if not labelled:
         raise TrainingError("cannot train on an empty labelled set")
-    X, y = to_arrays(labelled, labels="assigned")
+    X, y = labelled.X, _labels(labelled)
     if X.shape[1] != model.d:
         raise DataError(f"feature dimension {X.shape[1]} != model dimension {model.d}")
     if y.max() >= model.C or y.min() < 0:
@@ -212,6 +211,14 @@ def evaluate(model, samples) -> float:
     """Fraction of samples whose argmax prediction mismatches the assigned label."""
     if not samples:
         raise DataError("cannot evaluate on an empty dataset")
-    X, y = to_arrays(samples, labels="assigned")
-    preds = np.argmax(predict_proba_batch(model, X), axis=1)
-    return float(np.mean(preds != y))
+    preds = np.argmax(predict_proba_batch(model, samples.X), axis=1)
+    return float(np.mean(preds != _labels(samples)))
+
+
+def _labels(samples):
+    """The assigned labels of ``samples``; raises DataError if one is missing."""
+    missing = samples.label < 0
+    if missing.any():
+        sid = samples.ids[np.argmax(missing)]
+        raise DataError(f"sample {sid} has no assigned label")
+    return samples.label

@@ -12,7 +12,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .datasets import to_arrays
 from .classifier import predict_proba_batch
 from .ensemble import ensemble_posteriors, select_distribution
 from .errors import ConfigError, DataError, MissingPrototypeError
@@ -94,8 +93,8 @@ def build_prototypes(model, labelled) -> PrototypeTable:
     """Mean posterior per assigned class over the labelled set."""
     if not labelled:
         raise DataError("cannot build prototypes from an empty labelled set")
-    X, y = to_arrays(labelled, labels="assigned")
-    probs = predict_proba_batch(model, X)
+    y = labelled.label
+    probs = predict_proba_batch(model, labelled.X)
     table = np.zeros((model.C, model.C))
     counts = np.zeros(model.C, dtype=np.int64)
     for cls in range(model.C):
@@ -170,7 +169,7 @@ def score_block(model, prototypes, plan, samples, seed, population_std=True):
     # np.linalg.norm does on one row, so block and one-sample distances agree
     c_c = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
     return BlockScores(
-        ids=np.array([s.id for s in samples], dtype=np.int64),
+        ids=samples.ids,
         y1=y1,
         y2=y2,
         c_a=c_a,
@@ -185,11 +184,12 @@ def metrics_for_sample(
 ):
     """Ensemble-select a distribution and compute the three raw metrics.
 
-    Returns (y1, y2, c_a, c_b, c_c). Raises MissingPrototypeError when the
-    predicted class has no prototype; callers skip such samples.
+    ``sample`` is a one-row set. Returns (y1, y2, c_a, c_b, c_c). Raises
+    MissingPrototypeError when the predicted class has no prototype; callers
+    skip such samples.
     """
     s = score_block(
-        model, prototypes, plan, [sample], seed, population_std=population_std
+        model, prototypes, plan, sample, seed, population_std=population_std
     )
     if not s.scorable[0]:
         raise MissingPrototypeError(f"no prototype for class {s.y1[0]}")
@@ -254,10 +254,10 @@ def calibrate_weights(
     """Score labelled calibration samples and weight the metrics by accuracy."""
     if not calibration:
         raise DataError("cannot calibrate weights on an empty set")
-    for s in calibration:
-        if s.assigned_label is None:
-            raise DataError(f"calibration sample {s.id} has no label")
-    labels = np.array([s.assigned_label for s in calibration])
+    labels = calibration.label
+    if (labels < 0).any():
+        sid = calibration.ids[np.argmax(labels < 0)]
+        raise DataError(f"calibration sample {sid} has no label")
     scores = score_block(
         model, prototypes, plan, calibration, seed, population_std=population_std
     )

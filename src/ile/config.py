@@ -10,6 +10,7 @@ module reads exactly one section.
 """
 
 import json
+import math
 import types
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import partial
@@ -239,7 +240,7 @@ def _decode(tp, raw, where):
     if tp in (bool, str) and isinstance(raw, tp):
         return raw
     number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
-    if tp is float and number:
+    if tp is float and number and not math.isnan(raw):
         return float(raw)
     if tp is int and number and raw % 1 == 0:
         return int(raw)

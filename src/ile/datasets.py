@@ -1,94 +1,125 @@
-"""Samples, the labelled/unlabelled/validation split, and pseudo-label admissions.
+"""Sample sets, the labelled/unlabelled/validation split, and pseudo-label admissions.
 
-Evaluation mode keeps the hidden ground-truth label (``true_label``) on
-unlabelled samples so that the accuracy of admitted pseudo-labels can be
-reported. The training path only ever reads ``assigned_label``.
+A set of samples is one ``Samples`` struct of parallel arrays. Evaluation
+mode keeps the hidden ground-truth label (``true_label``) on unlabelled
+samples so that the accuracy of admitted pseudo-labels can be reported. The
+training path only ever reads ``label``.
 """
 
 import csv
 import struct
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import DataError
 from .seeding import rng
 
-PROVENANCE_CLEAN = "clean"
-PROVENANCE_PSEUDO = "pseudo"
+UNKNOWN = -1  # label sentinel: no ground truth, or no label assigned
 
 _BINARY_MAGIC = b"ILE1"
 
 
 @dataclass(frozen=True, eq=False)
-class Sample:
-    """One data point: feature vector plus label bookkeeping.
+class Samples:
+    """A set of samples as parallel arrays, one entry (row of ``X``) per sample.
 
-    ``true_label`` is hidden ground truth (evaluation mode only);
-    ``assigned_label`` is what training sees. Provenance records whether the
-    label came with the data ("clean") or was admitted by the loop
-    ("pseudo", with the admitting iteration).
+    ``true_label`` is hidden ground truth (evaluation mode only); ``label``
+    is what training sees. Both are UNKNOWN (-1) where absent. ``admitted``
+    is 0 for a label that came with the data and otherwise the iteration
+    that admitted the pseudo-label.
     """
 
-    id: int
-    features: np.ndarray
-    true_label: int | None = None
-    assigned_label: int | None = None
-    provenance: str = PROVENANCE_CLEAN
-    admitted_iteration: int | None = None
+    ids: np.ndarray  # (n,) int64
+    X: np.ndarray  # (n, d) float64
+    true_label: np.ndarray  # (n,) int64
+    label: np.ndarray  # (n,) int64
+    admitted: np.ndarray  # (n,) int64
 
-    def __post_init__(self):
-        if self.provenance not in (PROVENANCE_CLEAN, PROVENANCE_PSEUDO):
-            raise DataError(f"unknown provenance {self.provenance!r}")
-        if self.provenance == PROVENANCE_PSEUDO:
-            if self.assigned_label is None:
-                raise DataError(f"sample {self.id}: pseudo provenance requires a label")
-            if self.admitted_iteration is None or self.admitted_iteration < 1:
-                raise DataError(
-                    f"sample {self.id}: pseudo provenance requires a positive iteration"
-                )
-        elif (
-            self.assigned_label is not None
-            and self.true_label is not None
-            and self.assigned_label != self.true_label
-        ):
-            raise DataError(
-                f"sample {self.id}: clean label {self.assigned_label} contradicts "
-                f"ground truth {self.true_label}"
-            )
+    @classmethod
+    def clean(cls, ids, X, labels):
+        """Clean samples whose label doubles as ground truth (UNKNOWN: none)."""
+        labels = np.asarray(labels, dtype=np.int64)
+        return cls(
+            ids=np.asarray(ids, dtype=np.int64),
+            X=np.asarray(X, dtype=np.float64),
+            true_label=labels,
+            label=labels.copy(),
+            admitted=np.zeros(len(labels), dtype=np.int64),
+        )
+
+    __iter__ = None  # there are no row objects to iterate over: index instead
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        """The samples selected by ``index`` (a mask, slice or index array)."""
+        return Samples(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    def by_id(self):
+        """The same samples in ascending id order; ``self`` if already so."""
+        if (self.ids[1:] > self.ids[:-1]).all():
+            return self
+        return self[np.argsort(self.ids, kind="stable")]
+
+    @classmethod
+    def concatenate(cls, parts):
+        """One set holding the rows of every set in ``parts``, in order."""
+        dims = {p.X.shape[1] for p in parts}
+        if len(dims) > 1:
+            raise DataError(f"feature dimension mismatch: {sorted(dims)}")
+        return cls(
+            *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls))
+        )
+
+
+def _first_id(samples, mask):
+    return int(samples.ids[np.argmax(mask)])
 
 
 @dataclass
 class DatasetTriple:
-    """The three working sets: labelled, unlabelled and validation."""
+    """The three working sets: labelled, unlabelled and validation.
 
-    labelled: list[Sample]
-    unlabelled: list[Sample]
-    validation: list[Sample]
+    Rows of ``labelled`` are the clean samples in id order followed by each
+    iteration's admissions in id order; the other two sets are in id order.
+    """
+
+    labelled: Samples
+    unlabelled: Samples
+    validation: Samples
 
     def validate(self):
         """Check the structural invariants; raises DataError on violation."""
-        seen = {}
-        for name, part in (
-            ("labelled", self.labelled),
-            ("unlabelled", self.unlabelled),
-            ("validation", self.validation),
-        ):
-            for s in part:
-                if s.id in seen:
-                    raise DataError(
-                        f"id {s.id} appears in both {seen[s.id]} and {name}"
-                    )
-                seen[s.id] = name
-        for s in self.labelled:
-            if s.assigned_label is None:
-                raise DataError(f"labelled sample {s.id} has no assigned label")
-        for s in self.validation:
-            if s.assigned_label is None:
-                raise DataError(f"validation sample {s.id} has no assigned label")
-        for s in self.unlabelled:
-            if s.assigned_label is not None:
-                raise DataError(f"unlabelled sample {s.id} has an assigned label")
+        parts = {
+            "labelled": self.labelled,
+            "unlabelled": self.unlabelled,
+            "validation": self.validation,
+        }
+        ids = np.concatenate([p.ids for p in parts.values()])
+        uniq, counts = np.unique(ids, return_counts=True)
+        if (counts > 1).any():
+            sid = uniq[np.argmax(counts > 1)]
+            where = [n for n, p in parts.items() for _ in range((p.ids == sid).sum())]
+            raise DataError(f"id {sid} appears in both {where[0]} and {where[1]}")
+        for name, p in parts.items():
+            pseudo = p.admitted != 0
+            pool = name == "unlabelled"
+            for bad, problem in (
+                (p.admitted < 0, "has a negative admitting iteration"),
+                (pseudo & (name != "labelled"), "has a pseudo-label"),
+                (p.label != UNKNOWN, "has an assigned label") if pool
+                else (p.label < 0, "has no assigned label"),
+                (
+                    ~pseudo & (p.true_label >= 0) & (p.label >= 0)
+                    & (p.label != p.true_label),
+                    "has a clean label that contradicts its ground truth",
+                ),
+            ):
+                if bad.any():
+                    raise DataError(f"{name} sample {_first_id(p, bad)} {problem}")
 
     def total_size(self) -> int:
         return len(self.labelled) + len(self.unlabelled) + len(self.validation)
@@ -98,38 +129,15 @@ class DatasetTriple:
 class AdmissionRecord:
     """What one admission step did, for reporting."""
 
-    iteration: int
-    admitted_ids: list[int] = field(default_factory=list)
-    assigned_labels: dict[int, int] = field(default_factory=dict)
-    confidences: dict[int, float] = field(default_factory=dict)
+    admitted_ids: np.ndarray
     addition_accuracy: float | None = None
-
-
-def to_arrays(samples, labels="assigned"):
-    """Stack samples into (X, y) arrays.
-
-    ``labels`` selects which label field to read: "assigned", "true" or None
-    (y is then None). Raises DataError if a requested label is missing.
-    """
-    if not samples:
-        raise DataError("empty sample collection")
-    X = np.stack([s.features for s in samples]).astype(np.float64)
-    if labels is None:
-        return X, None
-    y = np.empty(len(samples), dtype=np.int64)
-    for i, s in enumerate(samples):
-        lab = s.assigned_label if labels == "assigned" else s.true_label
-        if lab is None:
-            raise DataError(f"sample {s.id} has no {labels} label")
-        y[i] = lab
-    return X, y
 
 
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
 
-def load_table(path, format="csv") -> list[Sample]:
+def load_table(path, format="csv") -> Samples:
     """Load samples from ``path``; format "csv" or "binary".
 
     Rows with a label yield clean samples where the label doubles as hidden
@@ -142,20 +150,18 @@ def load_table(path, format="csv") -> list[Sample]:
         samples = _load_binary(path)
     else:
         raise DataError(f"unknown table format {format!r}")
-    seen = set()
-    for s in samples:
-        if s.id in seen:
-            raise DataError(f"{path}: duplicate id {s.id}")
-        seen.add(s.id)
-    if samples:
-        finite = np.isfinite(np.stack([s.features for s in samples])).all(axis=1)
-        if not finite.all():
-            bad = samples[int(np.argmin(finite))]
-            raise DataError(f"{path}: sample {bad.id} has a non-finite feature")
+    ids = np.sort(samples.ids)
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if repeated.size:
+        raise DataError(f"{path}: duplicate id {repeated[0]}")
+    finite = np.isfinite(samples.X).all(axis=1)
+    if not finite.all():
+        sid = _first_id(samples, ~finite)
+        raise DataError(f"{path}: sample {sid} has a non-finite feature")
     return samples
 
 
-def _load_csv(path) -> list[Sample]:
+def _load_csv(path) -> Samples:
     try:
         fh = open(path, "r", newline="")
     except OSError as exc:
@@ -171,7 +177,7 @@ def _load_csv(path) -> list[Sample]:
             f"f{i}" for i in range(d)
         ]:
             raise DataError(f"{path}: line 1: bad header {','.join(header)!r}")
-        samples = []
+        ids, labels, features = [], [], array("d")  # features: flat float64
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -180,20 +186,21 @@ def _load_csv(path) -> list[Sample]:
                     f"{path}: line {lineno}: expected {d + 2} fields, got {len(row)}"
                 )
             try:
-                sid = int(row[0])
-                label = int(row[1]) if row[1] != "" else None
-                feats = np.array([float(v) for v in row[2:]], dtype=np.float64)
+                ids.append(int(row[0]))
+                labels.append(int(row[1]) if row[1] != "" else UNKNOWN)
+                features.extend([float(v) for v in row[2:]])
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            if label is not None and label < 0:
-                raise DataError(f"{path}: line {lineno}: negative label {label}")
-            samples.append(
-                Sample(id=sid, features=feats, true_label=label, assigned_label=label)
-            )
-    return samples
+            if row[1] != "" and labels[-1] < 0:
+                raise DataError(f"{path}: line {lineno}: negative label {labels[-1]}")
+    try:
+        X = np.frombuffer(features, dtype=np.float64).reshape(len(ids), d)
+        return Samples.clean(ids, X, labels)
+    except OverflowError as exc:
+        raise DataError(f"{path}: id or label out of range: {exc}") from exc
 
 
-def _load_binary(path) -> list[Sample]:
+def _load_binary(path) -> Samples:
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -206,71 +213,60 @@ def _load_binary(path) -> list[Sample]:
     count, d, num_classes = struct.unpack_from("<III", blob, 4)
     if d < 1:
         raise DataError(f"{path}: feature dimension {d} < 1")
-    rec_size = 4 + 4 + 4 * d
-    expected = 16 + count * rec_size
+    record = _binary_record(d)
+    expected = 16 + count * record.itemsize
     if len(blob) != expected:
         raise DataError(
             f"{path}: expected {expected} bytes for {count} records, got {len(blob)}"
         )
-    samples = []
-    off = 16
-    for i in range(count):
-        sid, label = struct.unpack_from("<Ii", blob, off)
-        feats = np.frombuffer(blob, dtype="<f4", count=d, offset=off + 8).astype(
-            np.float64
+    rows = np.frombuffer(blob, dtype=record, count=count, offset=16)
+    labels = rows["label"].astype(np.int64)
+    bad = (labels != UNKNOWN) & ((labels < 0) | (labels >= num_classes))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(
+            f"{path}: record {i}: label {labels[i]} outside [0, {num_classes})"
         )
-        off += rec_size
-        if label == -1:
-            lab = None
-        elif 0 <= label < num_classes:
-            lab = label
-        else:
-            raise DataError(
-                f"{path}: record {i}: label {label} outside [0, {num_classes})"
-            )
-        samples.append(
-            Sample(id=sid, features=feats, true_label=lab, assigned_label=lab)
-        )
-    return samples
+    return Samples.clean(rows["id"], rows["X"], labels)
+
+
+def _binary_record(d):
+    """One binary table record: uint32 id, int32 label (-1 unknown), d float32."""
+    return np.dtype([("id", "<u4"), ("label", "<i4"), ("X", "<f4", (d,))])
 
 
 def save_table(samples, path, format="csv", num_classes=None):
     """Write samples to ``path`` in the CSV or binary table format.
 
-    Labels are taken from ``true_label`` (falling back to ``assigned_label``),
-    so a dataset round-trips through save/load.
+    Labels are taken from ``true_label`` (falling back to ``label``), so a
+    dataset round-trips through save/load.
     """
-    if not samples:
+    if not len(samples):
         raise DataError("refusing to write an empty table")
-    d = len(samples[0].features)
-    for s in samples:
-        if len(s.features) != d:
-            raise DataError(f"sample {s.id}: dimension {len(s.features)} != {d}")
-
-    def label_of(s):
-        return s.true_label if s.true_label is not None else s.assigned_label
+    n, d = samples.X.shape
+    labels = np.where(samples.true_label != UNKNOWN, samples.true_label, samples.label)
 
     if format == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["id", "label"] + [f"f{i}" for i in range(d)])
-            for s in samples:
-                lab = label_of(s)
+            # row by row: one list of every value would briefly hold the
+            # whole table as Python floats
+            for sid, lab, row in zip(samples.ids.tolist(), labels.tolist(), samples.X):
                 writer.writerow(
-                    [s.id, "" if lab is None else lab]
-                    + [repr(float(v)) for v in s.features]
+                    [sid, "" if lab == UNKNOWN else lab] + [repr(v) for v in row.tolist()]
                 )
     elif format == "binary":
         if num_classes is None:
-            labels = [label_of(s) for s in samples if label_of(s) is not None]
-            num_classes = (max(labels) + 1) if labels else 0
+            num_classes = int(labels.max()) + 1 if (labels != UNKNOWN).any() else 0
+        if samples.ids.min() < 0 or samples.ids.max() >= 1 << 32:
+            raise DataError("binary tables hold ids in [0, 2**32)")
+        rows = np.empty(n, dtype=_binary_record(d))
+        rows["id"], rows["label"], rows["X"] = samples.ids, labels, samples.X
         with open(path, "wb") as fh:
             fh.write(_BINARY_MAGIC)
-            fh.write(struct.pack("<III", len(samples), d, num_classes))
-            for s in samples:
-                lab = label_of(s)
-                fh.write(struct.pack("<Ii", s.id, -1 if lab is None else lab))
-                fh.write(np.asarray(s.features, dtype="<f4").tobytes())
+            fh.write(struct.pack("<III", n, d, num_classes))
+            fh.write(rows.tobytes())
     else:
         raise DataError(f"unknown table format {format!r}")
 
@@ -286,110 +282,90 @@ def split(samples, labelled_per_class, validation_count, seed) -> DatasetTriple:
     at random; the validation set is a uniform draw from the remainder; the
     rest becomes the unlabelled pool with assigned labels stripped (ground
     truth stays hidden on the samples). Samples without ground truth go
-    straight to the pool. Deterministic in ``seed``.
+    straight to the pool. Deterministic in ``seed``; every set comes out in
+    id order.
     """
     if labelled_per_class < 1:
         raise DataError("labelled_per_class must be >= 1")
     if validation_count < 0:
         raise DataError("validation_count must be >= 0")
-    by_class = {}
-    unknown = []
-    for s in samples:
-        if s.true_label is None:
-            unknown.append(s)
-        else:
-            by_class.setdefault(s.true_label, []).append(s)
-    if not by_class:
+    samples = samples.by_id()
+    known = samples.true_label != UNKNOWN
+    if not known.any():
         raise DataError("no sample has a ground-truth label; cannot split")
 
-    labelled = []
-    remainder = []
-    for cls in sorted(by_class):
-        members = sorted(by_class[cls], key=lambda s: s.id)
+    labelled = np.zeros(len(samples), dtype=bool)
+    for cls in np.unique(samples.true_label[known]).tolist():
+        members = np.flatnonzero(samples.true_label == cls)
         if len(members) < labelled_per_class:
             raise DataError(
                 f"class {cls} has {len(members)} samples, "
                 f"needs {labelled_per_class}"
             )
         order = rng(seed, "split-class", cls).permutation(len(members))
-        chosen = order[:labelled_per_class]
-        chosen_set = set(chosen.tolist())
-        labelled.extend(members[i] for i in chosen)
-        remainder.extend(m for i, m in enumerate(members) if i not in chosen_set)
+        labelled[members[order[:labelled_per_class]]] = True
 
+    # uniform over the remainder, not class-stratified
+    remainder = np.flatnonzero(known & ~labelled)
     if validation_count > len(remainder):
         raise DataError(
             f"validation_count {validation_count} exceeds remaining "
             f"{len(remainder)} samples"
         )
-    # uniform over the remainder, not class-stratified
-    remainder.sort(key=lambda s: s.id)
+    validation = np.zeros(len(samples), dtype=bool)
     order = rng(seed, "split-validation").permutation(len(remainder))
-    val_idx = set(order[:validation_count].tolist())
-    validation = [remainder[i] for i in sorted(val_idx)]
-    pool = [remainder[i] for i in range(len(remainder)) if i not in val_idx]
-    pool += unknown
-    pool.sort(key=lambda s: s.id)
-    unlabelled = [replace(s, assigned_label=None) for s in pool]
+    validation[remainder[order[:validation_count]]] = True
 
-    labelled.sort(key=lambda s: s.id)
-    triple = DatasetTriple(labelled, unlabelled, validation)
+    pool = samples[~labelled & ~validation]
+    triple = DatasetTriple(
+        samples[labelled],
+        replace(pool, label=np.full_like(pool.ids, UNKNOWN)),
+        samples[validation],
+    )
     triple.validate()
     return triple
 
 
-def admit(triple, admissions, iteration):
-    """Move admitted samples from unlabelled to labelled.
+def admit(triple, ids, labels, iteration):
+    """Move the pool samples ``ids`` to labelled with pseudo-labels ``labels``.
 
-    ``admissions`` is a list of (id, label, confidence). Returns a new
-    DatasetTriple plus the AdmissionRecord; the input triple is not mutated.
-    Total sample count is conserved.
+    Returns a new DatasetTriple plus the AdmissionRecord; the input triple is
+    not mutated. The admitted rows join the end of the labelled set in pool
+    (id) order. Total sample count is conserved.
     """
-    record = AdmissionRecord(iteration=iteration)
-    if not admissions:
-        return triple, record
+    ids = np.asarray(ids, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if not ids.size:
+        return triple, AdmissionRecord(admitted_ids=ids)
+    order = np.argsort(ids, kind="stable")
+    ids, labels = ids[order], labels[order]
+    if (ids[1:] == ids[:-1]).any():
+        raise DataError(f"id {ids[1:][ids[1:] == ids[:-1]][0]} admitted twice")
+    pool = triple.unlabelled
+    outside = ~np.isin(ids, pool.ids)
+    if outside.any():
+        raise DataError(f"id {ids[np.argmax(outside)]} is not in the unlabelled pool")
 
-    by_id = {}
-    for sid, label, conf in admissions:
-        if sid in by_id:
-            raise DataError(f"id {sid} admitted twice")
-        by_id[sid] = (label, conf)
+    chosen = np.isin(pool.ids, ids)
+    moved = pool[chosen]
+    moved = replace(
+        moved,
+        label=labels[np.searchsorted(ids, moved.ids)],
+        admitted=np.full_like(moved.ids, iteration),
+    )
+    new_triple = DatasetTriple(
+        Samples.concatenate([triple.labelled, moved]), pool[~chosen], triple.validation
+    )
+    return new_triple, AdmissionRecord(moved.ids, label_accuracy(moved))
 
-    pool_ids = {s.id for s in triple.unlabelled}
-    for sid in by_id:
-        if sid not in pool_ids:
-            raise DataError(f"id {sid} is not in the unlabelled pool")
 
-    labelled = list(triple.labelled)
-    unlabelled = []
-    correct = 0
-    with_truth = 0
-    for s in triple.unlabelled:
-        if s.id not in by_id:
-            unlabelled.append(s)
-            continue
-        label, conf = by_id[s.id]
-        labelled.append(
-            replace(
-                s,
-                assigned_label=label,
-                provenance=PROVENANCE_PSEUDO,
-                admitted_iteration=iteration,
-            )
-        )
-        record.admitted_ids.append(s.id)
-        record.assigned_labels[s.id] = label
-        record.confidences[s.id] = conf
-        if s.true_label is not None:
-            with_truth += 1
-            if label == s.true_label:
-                correct += 1
-    if with_truth:
-        record.addition_accuracy = correct / with_truth
+def label_accuracy(samples):
+    """Share of the samples with ground truth whose label matches it.
 
-    new_triple = DatasetTriple(labelled, unlabelled, list(triple.validation))
-    assert new_triple.total_size() == triple.total_size()
-    return new_triple, record
+    None when no sample has ground truth.
+    """
+    right = (samples.label == samples.true_label)[samples.true_label != UNKNOWN]
+    return int(right.sum()) / len(right) if len(right) else None
 
 
 def release_pseudo(triple):
@@ -398,20 +374,12 @@ def release_pseudo(triple):
     Used by the re-scoring mode in which admissions are reconsidered every
     iteration instead of being permanent.
     """
-    labelled = []
-    released = []
-    for s in triple.labelled:
-        if s.provenance == PROVENANCE_PSEUDO:
-            released.append(
-                replace(
-                    s,
-                    assigned_label=None,
-                    provenance=PROVENANCE_CLEAN,
-                    admitted_iteration=None,
-                )
-            )
-        else:
-            labelled.append(s)
-    unlabelled = list(triple.unlabelled) + released
-    unlabelled.sort(key=lambda s: s.id)
-    return DatasetTriple(labelled, unlabelled, list(triple.validation))
+    pseudo = triple.labelled.admitted != 0
+    released = triple.labelled[pseudo]
+    released = replace(
+        released,
+        label=np.full_like(released.ids, UNKNOWN),
+        admitted=np.zeros_like(released.ids),
+    )
+    unlabelled = Samples.concatenate([triple.unlabelled, released]).by_id()
+    return DatasetTriple(triple.labelled[~pseudo], unlabelled, triple.validation)

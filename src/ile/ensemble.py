@@ -55,10 +55,10 @@ def ensemble_posteriors(model, plan, samples, seed):
     """Posteriors of every augmented copy of a block of samples, (n, A, C)."""
     vectors = augment.apply(plan, samples, seed)
     n, A, d = vectors.shape
-    return predict_proba_batch(model, vectors.reshape(n * A, d)).reshape(n, A, -1)
+    return predict_proba_batch(model, vectors.reshape(n * A, d)).reshape(n, A, model.C)
 
 
 def ensemble_predict(model, plan, sample, seed, population_std=True) -> EnsembleResult:
-    """Score all augmentations of ``sample`` and select the winner."""
-    z = ensemble_posteriors(model, plan, [sample], seed)[0]
+    """Score all augmentations of ``sample`` (a one-row set) and select the winner."""
+    z = ensemble_posteriors(model, plan, sample, seed)[0]
     return select_distribution(z, population_std=population_std)

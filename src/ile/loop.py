@@ -32,9 +32,9 @@ from .confidence import (
 )
 from .config import RunConfig, config_to_dict
 from .datasets import (
-    PROVENANCE_PSEUDO,
     DatasetTriple,
     admit,
+    label_accuracy,
     load_table,
     release_pseudo,
 )
@@ -109,29 +109,27 @@ def _train(cfg, triple, d, C, base_seed, iteration_index):
     return model, val_error
 
 
-def _scored_blocks(samples, model, prototypes, cfg, seed):
-    """BlockScores of the scorable samples, in id order, SCORE_BLOCK at a time."""
-    ordered = sorted(samples, key=lambda s: s.id)
-    for start in range(0, len(ordered), SCORE_BLOCK):
-        block = score_block(
-            model,
-            prototypes,
-            cfg.augment,
-            ordered[start : start + SCORE_BLOCK],
-            seed,
-            population_std=cfg.population_std,
-        )
-        yield block[block.scorable]
+def _score(samples, model, prototypes, cfg, seed):
+    """BlockScores of ``samples`` and their labels, both in id order.
 
-
-def _pseudo_label_accuracy(labelled):
-    """Accuracy of the pseudo-labels now in D_l that have ground truth."""
-    judged = [
-        s.assigned_label == s.true_label
-        for s in labelled
-        if s.provenance == PROVENANCE_PSEUDO and s.true_label is not None
-    ]
-    return sum(judged) / len(judged) if judged else None
+    SCORE_BLOCK samples go through each forward pass.
+    """
+    ordered = samples.by_id()
+    # an empty set still goes through once, as one empty block
+    scores = BlockScores.concatenate(
+        [
+            score_block(
+                model,
+                prototypes,
+                cfg.augment,
+                ordered[start : start + SCORE_BLOCK],
+                seed,
+                population_std=cfg.population_std,
+            )
+            for start in range(0, max(len(ordered), 1), SCORE_BLOCK)
+        ]
+    )
+    return scores, ordered.label
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +146,11 @@ def run_iteration(state, iteration_index, base_seed):
     prototypes = build_prototypes(model, triple.labelled)
     score_seed = derive_seed(base_seed, iteration_index, "score")
 
-    train = BlockScores.concatenate(
-        list(_scored_blocks(triple.labelled, model, prototypes, cfg, score_seed))
-    )
+    train, labels = _score(triple.labelled, model, prototypes, cfg, score_seed)
+    correct = (train.y1 == labels)[train.scorable]
+    train = train[train.scorable]
     if not train.ids.size:
         raise DataError("no training sample could be scored")
-    labels = {s.id: s.assigned_label for s in triple.labelled}
-    correct = train.y1 == np.array([labels[sid] for sid in train.ids.tolist()])
 
     if cfg.confidence.weights is not None:
         weights = cfg.confidence.weights
@@ -180,12 +176,11 @@ def run_iteration(state, iteration_index, base_seed):
     dl_size = len(triple.labelled)
     du_size = len(triple.unlabelled)
 
-    admissions = []
-    for pool in _scored_blocks(triple.unlabelled, model, prototypes, cfg, score_seed):
-        confidences = combine(pool.c_a, pool.c_b, pool.c_c, weights, mode, epsilon)
-        admissions += select_admissions(pool.ids, pool.y1, confidences, t_c, strict)
-
-    triple, admission_record = admit(triple, admissions, iteration_index)
+    pool, _ = _score(triple.unlabelled, model, prototypes, cfg, score_seed)
+    pool = pool[pool.scorable]
+    confidences = combine(pool.c_a, pool.c_b, pool.c_c, weights, mode, epsilon)
+    ids, labels, _ = select_admissions(pool.ids, pool.y1, confidences, t_c, strict)
+    triple, admission_record = admit(triple, ids, labels, iteration_index)
     triple.validate()
 
     new_state = replace(state, triple=triple, frozen_threshold=frozen)
@@ -193,9 +188,12 @@ def run_iteration(state, iteration_index, base_seed):
         iteration=iteration_index,
         dl_size=dl_size,
         du_size=du_size,
-        added_count=len(admissions),
+        added_count=len(ids),
         addition_accuracy=admission_record.addition_accuracy,
-        cumulative_addition_accuracy=_pseudo_label_accuracy(triple.labelled),
+        # over the pseudo-labels now in D_l
+        cumulative_addition_accuracy=label_accuracy(
+            triple.labelled[triple.labelled.admitted != 0]
+        ),
         val_error=val_error,
         threshold=t_c,
         wall_time=time.perf_counter() - started,
@@ -247,16 +245,18 @@ def _load_samples(cfg):
 
 def run_single(cfg, samples, base_seed) -> RunReport:
     """One full run on pre-loaded samples: the loop and its benchmark."""
-    triple = datasets.split(
-        samples,
-        cfg.split.labelled_per_class,
-        cfg.split.validation_count,
-        seed=derive_seed(base_seed, "split"),
+    # no name holds the split: each iteration's working sets replace it
+    state = LoopState(
+        config=cfg,
+        triple=datasets.split(
+            samples,
+            cfg.split.labelled_per_class,
+            cfg.split.validation_count,
+            seed=derive_seed(base_seed, "split"),
+        ),
+        d=samples.X.shape[1],
+        C=int(samples.true_label.max()) + 1,
     )
-    d = len(triple.labelled[0].features)
-    C = max(s.true_label for s in samples if s.true_label is not None) + 1
-
-    state = LoopState(config=cfg, triple=triple, d=d, C=C)
     records = []
     while not should_stop(records, cfg):
         state, record = run_iteration(state, len(records) + 1, base_seed)
@@ -266,7 +266,7 @@ def run_single(cfg, samples, base_seed) -> RunReport:
     if records:
         benchmark, final = records[0].val_error, records[-1].val_error
     else:
-        benchmark = final = _train(cfg, triple, d, C, base_seed, 1)[1]
+        benchmark = final = _train(cfg, state.triple, state.d, state.C, base_seed, 1)[1]
     improvement = (
         benchmark - final if (benchmark is not None and final is not None) else None
     )

@@ -7,7 +7,7 @@ augmentations). All are fully labelled; ids are sequential and class-major.
 
 import numpy as np
 
-from .datasets import Sample
+from .datasets import Samples
 from .errors import ConfigError
 from .seeding import rng
 
@@ -16,20 +16,9 @@ GRID_COLS = 5
 
 
 def _to_samples(points_per_class):
-    samples = []
-    next_id = 0
-    for cls, points in enumerate(points_per_class):
-        for row in points:
-            samples.append(
-                Sample(
-                    id=next_id,
-                    features=np.asarray(row, dtype=np.float64),
-                    true_label=cls,
-                    assigned_label=cls,
-                )
-            )
-            next_id += 1
-    return samples
+    sizes = [len(points) for points in points_per_class]
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    return Samples.clean(np.arange(sum(sizes)), np.concatenate(points_per_class), labels)
 
 
 def make_blobs(classes, per_class, noise, seed, radius=4.0):

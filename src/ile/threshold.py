@@ -86,17 +86,11 @@ def learn_threshold(confidences, correct, target_accuracy, strict=False) -> floa
 
 
 def select_admissions(ids, labels, confidences, t_c, strict=False):
-    """Admission tuples (id, label, confidence) for samples passing ``t_c``.
+    """The (ids, labels, confidences) of the samples passing ``t_c``.
 
     The arguments are per-sample arrays of ids, predicted labels and
-    combined confidences; the tuples come out in input order.
+    combined confidences; the selected entries keep their input order.
     """
     confidences = np.asarray(confidences, dtype=np.float64)
     passes = confidences > t_c if strict else confidences >= t_c
-    return list(
-        zip(
-            np.asarray(ids)[passes].tolist(),
-            np.asarray(labels)[passes].tolist(),
-            confidences[passes].tolist(),
-        )
-    )
+    return np.asarray(ids)[passes], np.asarray(labels)[passes], confidences[passes]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ile import (
-    Sample,
+    Samples,
     TrainConfig,
     fit,
     init_model,
@@ -13,12 +13,13 @@ from ile.classifier import SOFTMAX_REGRESSION, ModelState
 
 
 def make_sample(sid, features, label=None):
-    return Sample(
-        id=sid,
-        features=np.asarray(features, dtype=np.float64),
-        true_label=label,
-        assigned_label=label,
-    )
+    """A one-row clean sample set; ``label`` None means no label."""
+    return Samples.clean([sid], [features], [-1 if label is None else label])
+
+
+def samples_of(*rows):
+    """One sample set from one-row sets, in the order given."""
+    return Samples.concatenate(rows)
 
 
 def logit_model(scale=1.0, C=2):

@@ -16,7 +16,7 @@ from ile.augment import (
     transform_to_dict,
 )
 
-from conftest import make_sample
+from conftest import make_sample, samples_of
 
 
 def plan(*extra):
@@ -30,45 +30,45 @@ def one(t, features):
 
 def test_identity_plan_returns_the_original():
     s = make_sample(0, [1.0, 2.0, 3.0])
-    out = apply(AugmentationPlan.identity_only(), [s], seed=0)[0]
+    out = apply(AugmentationPlan.identity_only(), s, seed=0)[0]
     assert len(out) == 1
-    np.testing.assert_array_equal(out[0], s.features)
+    np.testing.assert_array_equal(out[0], s.X[0])
     out[0][0] = 99.0  # the returned vector is a copy
-    assert s.features[0] == 1.0
+    assert s.X[0][0] == 1.0
 
 
 def test_zero_sigma_jitter_is_exact():
     s = make_sample(1, [0.5, -0.5])
-    out = apply(plan(GaussianJitter(sigma=0.0)), [s], seed=3)[0]
-    np.testing.assert_array_equal(out[1], s.features)
+    out = apply(plan(GaussianJitter(sigma=0.0)), s, seed=3)[0]
+    np.testing.assert_array_equal(out[1], s.X[0])
 
 
 def test_jitter_is_deterministic_per_sample_and_slot():
     p = plan(GaussianJitter(0.5), GaussianJitter(0.5))
     s = make_sample(7, [1.0, 2.0])
-    a = apply(p, [s], seed=10)[0]
-    b = apply(p, [s], seed=10)[0]
+    a = apply(p, s, seed=10)[0]
+    b = apply(p, s, seed=10)[0]
     for va, vb in zip(a, b):
         np.testing.assert_array_equal(va, vb)
     # two jitter slots with identical sigma still draw different noise
     assert not np.array_equal(a[1], a[2])
     # a different sample id gets different noise
-    other = apply(p, [make_sample(8, [1.0, 2.0])], seed=10)[0]
+    other = apply(p, make_sample(8, [1.0, 2.0]), seed=10)[0]
     assert not np.array_equal(a[1], other[1])
 
 
 def test_apply_is_order_independent_across_samples():
     p = plan(GaussianJitter(0.3))
     s1, s2 = make_sample(1, [0.0, 0.0]), make_sample(2, [0.0, 0.0])
-    first = apply(p, [s1], seed=5)[0]
-    second = apply(p, [s2], seed=5)[0]
+    first = apply(p, s1, seed=5)[0]
+    second = apply(p, s2, seed=5)[0]
     # reversed processing order reproduces the same vectors
-    second_again = apply(p, [s2], seed=5)[0]
-    first_again = apply(p, [s1], seed=5)[0]
+    second_again = apply(p, s2, seed=5)[0]
+    first_again = apply(p, s1, seed=5)[0]
     np.testing.assert_array_equal(first[1], first_again[1])
     np.testing.assert_array_equal(second[1], second_again[1])
     # so does scoring both in one block, in either order
-    block = apply(p, [s2, s1], seed=5)
+    block = apply(p, samples_of(s2, s1), seed=5)
     np.testing.assert_array_equal(block[0], second)
     np.testing.assert_array_equal(block[1], first)
 

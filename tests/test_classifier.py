@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ile import (
     ConfigError,
     DataError,
-    Sample,
+    Samples,
     StateError,
     TrainConfig,
     TrainingError,
@@ -22,7 +24,7 @@ from ile.classifier import (
     softmax,
 )
 
-from conftest import logit_model, make_sample
+from conftest import logit_model, make_sample, samples_of
 
 
 def flat_params(model):
@@ -154,7 +156,7 @@ def test_separable_data_trains_to_zero_error(separable_samples):
 
 def test_far_inside_sample_predicts_its_class(separable_model, separable_samples):
     center = np.mean(
-        [s.features for s in separable_samples if s.true_label == 1], axis=0
+        separable_samples.X[separable_samples.true_label == 1], axis=0
     )
     p = predict_proba(separable_model, center)
     assert int(np.argmax(p)) == 1
@@ -192,11 +194,11 @@ def test_fit_is_deterministic(separable_samples):
 def test_fit_rejects_bad_inputs(separable_samples):
     model = init_model(SOFTMAX_REGRESSION, d=2, C=2, seed=0)
     with pytest.raises(TrainingError):
-        fit(model, [], TrainConfig(), seed=0)
+        fit(model, separable_samples[:0], TrainConfig(), seed=0)
     with pytest.raises(DataError, match="dimension"):
-        fit(model, [make_sample(0, [1.0, 2.0, 3.0], 0)], TrainConfig(), seed=0)
+        fit(model, make_sample(0, [1.0, 2.0, 3.0], 0), TrainConfig(), seed=0)
     with pytest.raises(DataError, match="labels"):
-        fit(model, [make_sample(0, [1.0, 2.0], 5)], TrainConfig(), seed=0)
+        fit(model, make_sample(0, [1.0, 2.0], 5), TrainConfig(), seed=0)
 
 
 def test_diverging_training_fails_loudly():
@@ -235,14 +237,15 @@ def test_predict_requires_training_and_right_shape():
 
 def test_evaluate_error_fractions():
     m = logit_model(scale=10.0)  # features pick the predicted class
-    right = [make_sample(i, [1.0, -1.0] if i % 2 == 0 else [-1.0, 1.0], i % 2) for i in range(4)]
+    right = samples_of(
+        *(make_sample(i, [1.0, -1.0] if i % 2 == 0 else [-1.0, 1.0], i % 2) for i in range(4))
+    )
     assert evaluate(m, right) == 0.0
-    wrong = [
-        Sample(id=i, features=np.array([1.0, -1.0]), assigned_label=1)
-        for i in range(4)
-    ]
+    wrong = replace(
+        Samples.clean(range(4), [[1.0, -1.0]] * 4, [1] * 4), true_label=np.full(4, -1)
+    )
     assert evaluate(m, wrong) == 1.0
-    mixed = right[:3] + [wrong[3]]
+    mixed = samples_of(right[:3], wrong[3:])
     assert evaluate(m, mixed) == 0.25
     with pytest.raises(DataError):
-        evaluate(m, [])
+        evaluate(m, right[:0])

@@ -119,12 +119,11 @@ def test_run_with_an_unlabelled_pool_reports_no_addition_accuracy(tmp_path):
     # 15 labelled rows per class fill D_l (5 each) and validation (30);
     # every pool row has an empty label
     from ile import generate, save_table
-    from ile.datasets import Sample
+    from dataclasses import replace
 
     samples = generate("blobs", 3, 40, 0.8, seed=5)
-    rows = [
-        s if s.id % 40 < 15 else Sample(id=s.id, features=s.features) for s in samples
-    ]
+    unknown = np.where(samples.ids % 40 < 15, samples.true_label, -1)
+    rows = replace(samples, true_label=unknown, label=unknown)
     data = tmp_path / "data.csv"
     save_table(rows, str(data))
     cfg = config_file(
@@ -299,3 +298,22 @@ def test_report_data_errors(tmp_path):
     bad_dir.mkdir()
     (bad_dir / "report.json").write_text("{broken")
     assert run_cli("report", str(bad_dir)) == 2
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"augment": [{"kind": "identity"}, {"kind": "gaussian_jitter", "sigma": "0.5"}]},
+        {"augment": [{"kind": "identity"}, {"kind": "gaussian_jitter", "sigma": -0.5}]},
+        {"augment": [{"kind": "identity"}, {"kind": "grid_shift", "rows": 1, "cols": 2, "dx": 0.5, "dy": 0}]},
+        {"confidence": {"epsilon": float("nan")}},
+        {"threshold": {"manual": float("nan")}},
+    ],
+)
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_bad_parameter_values_are_usage_errors(tmp_path, capsys, patch, dry_run):
+    cfg = config_file(tmp_path, **patch)
+    flags = ["--dry-run"] if dry_run else []
+    assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o"), *flags) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -35,7 +35,7 @@ from ile.confidence import (
 from ile.ensemble import ensemble_predict, select_distribution
 from ile.seeding import rng as seeded_rng
 
-from conftest import logit_model, make_sample
+from conftest import logit_model, make_sample, samples_of
 from test_ensemble import oracle_select
 
 # frozen hand-derived values for the worked distance and combination cases
@@ -100,7 +100,7 @@ def test_prototype_of_single_sample_is_its_posterior():
     model = logit_model()
     s = make_sample(0, np.log([0.8, 0.2]), 0)
     t = make_sample(1, np.log([0.3, 0.7]), 1)
-    table = build_prototypes(model, [s, t])
+    table = build_prototypes(model, samples_of(s, t))
     np.testing.assert_allclose(table.table[0], [0.8, 0.2], atol=1e-12)
     np.testing.assert_allclose(table.table[1], [0.3, 0.7], atol=1e-12)
     np.testing.assert_array_equal(table.counts, [1, 1])
@@ -108,10 +108,10 @@ def test_prototype_of_single_sample_is_its_posterior():
 
 def test_prototype_is_the_mean_posterior():
     model = logit_model()
-    labelled = [
+    labelled = samples_of(
         make_sample(0, np.log([0.8, 0.2]), 0),
         make_sample(1, np.log([0.6, 0.4]), 0),
-    ]
+    )
     table = build_prototypes(model, labelled)
     np.testing.assert_allclose(table.table[0], [0.7, 0.3], atol=1e-12)
     assert table.counts[0] == 2
@@ -123,7 +123,7 @@ def test_prototype_is_the_mean_posterior():
 
 def test_build_prototypes_rejects_empty():
     with pytest.raises(DataError):
-        build_prototypes(logit_model(), [])
+        build_prototypes(logit_model(), make_sample(0, [0.0, 0.0], 0)[:0])
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ def test_perfectly_confident_sample_scores_the_weight_sum():
     model = logit_model(scale=1.0)
     # logits (40, -40) saturate the softmax to a one-hot in float64
     s = make_sample(0, [40.0, -40.0], 0)
-    table = build_prototypes(model, [s])
+    table = build_prototypes(model, s)
     report = score_sample(
         model,
         table,
@@ -284,9 +284,9 @@ def test_score_sample_matches_straight_line_oracle():
             model, table, plan, sample, weights, mode=mode, seed=seed
         )
         vectors = [
-            sample.features + seeded_rng(seed, sample.id, i).normal(0.0, t.sigma, d)
+            sample.X[0] + seeded_rng(seed, int(sample.ids[0]), i).normal(0.0, t.sigma, d)
             if isinstance(t, GaussianJitter)
-            else sample.features
+            else sample.X[0]
             for i, t in enumerate(plan.transforms)
         ]
         y1, y2, c_a, c_b, c_c, c = oracle_score(
@@ -357,12 +357,12 @@ def test_all_wrong_falls_back_to_equal_weights():
 
 def test_calibrate_weights_end_to_end():
     model = logit_model()
-    labelled = [
+    labelled = samples_of(
         make_sample(0, np.log([0.9, 0.1]), 0),
         make_sample(1, np.log([0.8, 0.2]), 0),
         make_sample(2, np.log([0.2, 0.8]), 1),
         make_sample(3, np.log([0.35, 0.65]), 1),
-    ]
+    )
     table = build_prototypes(model, labelled)
     w = calibrate_weights(
         model, table, AugmentationPlan.identity_only(), labelled, seed=0
@@ -377,15 +377,15 @@ def test_calibrate_weights_skips_unscorable_samples():
     ok = make_sample(0, [5.0, -5.0], 0)  # predicted 0, has a prototype
     orphan = make_sample(1, [-5.0, 5.0], 1)  # predicted 1, prototype missing
     w = calibrate_weights(
-        model, table, AugmentationPlan.identity_only(), [ok, orphan], seed=0
+        model, table, AugmentationPlan.identity_only(), samples_of(ok, orphan), seed=0
     )
     assert (w.w_a, w.w_b, w.w_c) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
     with pytest.raises(DataError):
         calibrate_weights(
-            model, table, AugmentationPlan.identity_only(), [orphan], seed=0
+            model, table, AugmentationPlan.identity_only(), orphan, seed=0
         )
     with pytest.raises(DataError):
-        calibrate_weights(model, table, AugmentationPlan.identity_only(), [], seed=0)
+        calibrate_weights(model, table, AugmentationPlan.identity_only(), ok[:0], seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +402,11 @@ def one_sample_vectors(sample, plan, seed):
     Written out per kind for a 2 x 2 grid, without ``augment.apply`` or the
     transforms' block code, as the reference for the block path.
     """
-    x = [float(v) for v in sample.features]
+    x = [float(v) for v in sample.X[0]]
     out = []
     for slot, t in enumerate(plan.transforms):
         if isinstance(t, GaussianJitter):
-            noise = seeded_rng(seed, sample.id, slot).normal(0.0, t.sigma, len(x))
+            noise = seeded_rng(seed, int(sample.ids[0]), slot).normal(0.0, t.sigma, len(x))
             out.append([v + e for v, e in zip(x, noise)])
         elif isinstance(t, GridHFlip):
             out.append([x[1], x[0], x[3], x[2]])
@@ -467,11 +467,11 @@ def test_block_scoring_matches_one_sample_scoring(A, architecture, n, C, seed, p
     counts = np.array(present[:C], dtype=np.int64)
     table = proto_table(rng.dirichlet(np.ones(C), size=C), counts=counts)
     ids = rng.choice(1 << 20, size=n, replace=False)
-    samples = [make_sample(int(i), rng.normal(scale=2.0, size=d)) for i in ids]
+    rows = [make_sample(int(i), rng.normal(scale=2.0, size=d)) for i in ids]
 
-    block = score_block(model, table, plan, samples, seed)
+    block = score_block(model, table, plan, samples_of(*rows), seed)
     np.testing.assert_array_equal(block.ids, ids)
-    for i, s in enumerate(samples):
+    for i, s in enumerate(rows):
         oracle = oracle_block_row(model, table, plan, s, seed)
         if oracle is not None:
             dist, y1, y2, c_a, c_b, c_c = oracle

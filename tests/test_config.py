@@ -19,6 +19,8 @@ MINIMAL = {
     "data": {"synth": {"kind": "blobs", "classes": 3, "per_class": 50}},
     "split": {"labelled_per_class": 5, "validation_count": 20},
 }
+IDENTITY = {"kind": "identity"}
+NAN = float("nan")  # what json.loads makes of a bare NaN
 
 
 def full_dict():
@@ -192,6 +194,24 @@ def test_data_source_needs_exactly_one_origin():
         ("confidence", {"weights": [0.5, True, 0.2]}, "confidence.weights"),
         ("ensemble", {"std": 1}, "ensemble.std"),
         ("seed", True, "seed"),
+        # transform parameters are checked where the transform is built
+        ("augment", [IDENTITY, {"kind": "gaussian_jitter", "sigma": "0.5"}], "gaussian_jitter"),
+        ("augment", [IDENTITY, {"kind": "gaussian_jitter", "sigma": -0.5}], "gaussian_jitter"),
+        ("augment", [IDENTITY, {"kind": "gaussian_jitter", "sigma": NAN}], "gaussian_jitter"),
+        ("augment", [IDENTITY, {"kind": "gaussian_jitter", "sigma": True}], "gaussian_jitter"),
+        ("augment", [IDENTITY, {"kind": "grid_shift", "rows": 5, "cols": 5, "dx": 0.5, "dy": 0}], "'grid_shift': dx"),
+        ("augment", [IDENTITY, {"kind": "grid_shift", "rows": 5, "cols": 5, "dx": 1, "dy": "1"}], "'grid_shift': dy"),
+        ("augment", [IDENTITY, {"kind": "grid_shift", "rows": 0, "cols": 5, "dx": 1, "dy": 0}], "'grid_shift': rows"),
+        ("augment", [IDENTITY, {"kind": "grid_hflip", "rows": 5, "cols": 2.0}], "'grid_hflip': cols"),
+        ("augment", [IDENTITY, {"kind": "grid_hflip", "rows": 5, "cols": 0}], "'grid_hflip': cols"),
+        # NaN is no number for any float field
+        ("confidence", {"epsilon": NAN}, "confidence.epsilon"),
+        ("confidence", {"weights": [0.5, NAN, 0.2]}, r"confidence\.weights\[1\]"),
+        ("threshold", {"manual": NAN}, "threshold.manual"),
+        ("threshold", {"target_accuracy": NAN}, "threshold.target_accuracy"),
+        ("classifier", {"train": {"learning_rate": NAN}}, "classifier.train.learning_rate"),
+        ("classifier", {"train": {"l2": NAN}}, "classifier.train.l2"),
+        ("data", {"synth": {"kind": "blobs", "classes": 2, "per_class": 5, "noise": NAN}}, "data.synth.noise"),
     ],
 )
 def test_invalid_values_are_rejected(section, patch, needle):
@@ -202,6 +222,11 @@ def test_invalid_values_are_rejected(section, patch, needle):
     raw[section] = patch
     with pytest.raises(ConfigError, match=needle):
         config_from_dict(raw)
+
+
+def test_infinite_manual_threshold_stays_legal():
+    raw = json.loads('{"threshold": {"manual": Infinity}}')
+    assert config_from_dict(dict(MINIMAL, **raw)).threshold.manual == float("inf")
 
 
 def test_whole_numbers_coerce_to_the_field_type():

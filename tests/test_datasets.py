@@ -1,53 +1,63 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ile import DataError, DatasetTriple, Sample, admit, load_table, save_table, split
-from ile.datasets import release_pseudo, to_arrays
+from ile import DataError, DatasetTriple, admit, evaluate, load_table, save_table, split
+from ile.datasets import release_pseudo
 
-from conftest import make_sample
+from conftest import logit_model, make_sample, samples_of
 
 
 # ---------------------------------------------------------------------------
-# Sample invariants
+# Row invariants, checked by DatasetTriple.validate
 # ---------------------------------------------------------------------------
+
+def row(sid=1, true_label=0, label=0, admitted=0):
+    """A one-row set with the given label fields."""
+    return replace(
+        make_sample(sid, [0.0, 0.0], true_label),
+        label=np.array([label]),
+        admitted=np.array([admitted]),
+    )
+
+
+def in_labelled(rows):
+    return DatasetTriple(rows, rows[:0], rows[:0])
+
 
 def test_pseudo_sample_requires_label_and_iteration():
-    feats = np.zeros(2)
     with pytest.raises(DataError):
-        Sample(id=1, features=feats, provenance="pseudo", admitted_iteration=1)
+        in_labelled(row(label=-1, admitted=1)).validate()
+    # a pseudo-label lives in D_l only: elsewhere it has no admitting iteration
+    empty = row()[:0]
     with pytest.raises(DataError):
-        Sample(id=1, features=feats, assigned_label=0, provenance="pseudo")
+        DatasetTriple(empty, row(label=0, admitted=1), empty).validate()
     with pytest.raises(DataError):
-        Sample(
-            id=1,
-            features=feats,
-            assigned_label=0,
-            provenance="pseudo",
-            admitted_iteration=0,
-        )
+        DatasetTriple(empty, empty, row(label=0, admitted=1)).validate()
+    in_labelled(row(true_label=1, label=0, admitted=2)).validate()
 
 
 def test_clean_sample_label_must_match_truth():
-    with pytest.raises(DataError):
-        Sample(id=1, features=np.zeros(2), true_label=0, assigned_label=1)
+    with pytest.raises(DataError, match="contradicts"):
+        in_labelled(row(true_label=0, label=1)).validate()
 
 
 def test_unknown_provenance_rejected():
-    with pytest.raises(DataError):
-        Sample(id=1, features=np.zeros(2), provenance="mystery")
+    with pytest.raises(DataError, match="negative"):
+        in_labelled(row(admitted=-1)).validate()
 
 
-def test_to_arrays_label_selection():
-    samples = [make_sample(0, [1.0, 2.0], 1), make_sample(1, [3.0, 4.0], 0)]
-    X, y = to_arrays(samples, labels="assigned")
-    assert X.shape == (2, 2)
-    np.testing.assert_array_equal(y, [1, 0])
-    X2, y2 = to_arrays(samples, labels=None)
-    assert y2 is None
+def test_sample_sets_stack_rows_and_evaluation_needs_labels():
+    samples = samples_of(make_sample(0, [1.0, 2.0], 1), make_sample(1, [3.0, 4.0], 0))
+    assert samples.X.shape == (2, 2)
+    np.testing.assert_array_equal(samples.label, [1, 0])
+    unlabelled = make_sample(0, [1.0, 2.0], None)
+    np.testing.assert_array_equal(unlabelled.X, [[1.0, 2.0]])
+    with pytest.raises(DataError, match="sample 0 has no assigned label"):
+        evaluate(logit_model(), unlabelled)
     with pytest.raises(DataError):
-        to_arrays([make_sample(0, [1.0], None)], labels="assigned")
-    with pytest.raises(DataError):
-        to_arrays([])
+        evaluate(logit_model(), samples[:0])
 
 
 # ---------------------------------------------------------------------------
@@ -66,18 +76,19 @@ def test_csv_basic_parse(tmp_path):
     )
     samples = load_table(path)
     assert len(samples) == 3
-    assert all(s.provenance == "clean" for s in samples)
-    assert samples[0].assigned_label == 1
-    assert samples[0].true_label == 1
-    np.testing.assert_array_equal(samples[0].features, [0.5, -1.5])
+    assert (samples.admitted == 0).all()  # clean
+    assert samples.label[0] == 1
+    assert samples.true_label[0] == 1
+    np.testing.assert_array_equal(samples.X[0], [0.5, -1.5])
 
 
 def test_csv_empty_label_means_unlabelled(tmp_path):
     path = write_csv(tmp_path / "t.csv", "id,label,f0\n5,,1.25\n")
-    (s,) = load_table(path)
-    assert s.assigned_label is None
-    assert s.true_label is None
-    assert s.id == 5
+    s = load_table(path)
+    assert len(s) == 1
+    assert s.label[0] == -1
+    assert s.true_label[0] == -1
+    assert s.ids[0] == 5
 
 
 def test_csv_duplicate_ids_rejected(tmp_path):
@@ -116,19 +127,18 @@ def test_csv_missing_file_and_empty_file(tmp_path):
 
 
 def test_csv_round_trip_exact(tmp_path):
-    samples = [
+    samples = samples_of(
         make_sample(3, [0.1, -2.5e-7], 1),
         make_sample(9, [1 / 3, 7.0], None),
         make_sample(10, [5.5, 1e30], 0),
-    ]
+    )
     path = str(tmp_path / "rt.csv")
     save_table(samples, path)
     back = load_table(path)
-    assert [s.id for s in back] == [3, 9, 10]
-    assert [s.true_label for s in back] == [1, None, 0]
-    for a, b in zip(samples, back):
-        # repr() round-trips float64 exactly
-        np.testing.assert_array_equal(a.features, b.features)
+    assert back.ids.tolist() == [3, 9, 10]
+    assert back.true_label.tolist() == [1, -1, 0]
+    # repr() round-trips float64 exactly
+    np.testing.assert_array_equal(samples.X, back.X)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -144,19 +154,18 @@ def test_csv_non_finite_feature_names_the_sample(tmp_path, value):
 # ---------------------------------------------------------------------------
 
 def test_binary_round_trip(tmp_path):
-    samples = [
+    samples = samples_of(
         make_sample(0, [1.5, -2.0], 0),
         make_sample(1, [0.25, 8.0], None),
         make_sample(2, [3.0, 4.0], 2),
-    ]
+    )
     path = str(tmp_path / "t.bin")
     save_table(samples, path, format="binary")
     back = load_table(path, format="binary")
-    assert [s.id for s in back] == [0, 1, 2]
-    assert [s.true_label for s in back] == [0, None, 2]
-    for a, b in zip(samples, back):
-        # values here are exactly representable in float32
-        np.testing.assert_array_equal(a.features, b.features)
+    assert back.ids.tolist() == [0, 1, 2]
+    assert back.true_label.tolist() == [0, -1, 2]
+    # values here are exactly representable in float32
+    np.testing.assert_array_equal(samples.X, back.X)
 
 
 def test_binary_rejects_garbage(tmp_path):
@@ -170,7 +179,7 @@ def test_binary_rejects_garbage(tmp_path):
 
 
 def test_binary_truncated_records(tmp_path):
-    samples = [make_sample(0, [1.0, 2.0], 0)]
+    samples = make_sample(0, [1.0, 2.0], 0)
     path = str(tmp_path / "t.bin")
     save_table(samples, path, format="binary")
     blob = open(path, "rb").read()
@@ -181,7 +190,7 @@ def test_binary_truncated_records(tmp_path):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_binary_non_finite_feature_names_the_sample(tmp_path, value):
-    samples = [make_sample(0, [1.0, 2.0], 0), make_sample(6, [value, 2.0], 1)]
+    samples = samples_of(make_sample(0, [1.0, 2.0], 0), make_sample(6, [value, 2.0], 1))
     path = str(tmp_path / "t.bin")
     save_table(samples, path, format="binary")
     with pytest.raises(DataError, match="sample 6 has a non-finite feature"):
@@ -189,7 +198,7 @@ def test_binary_non_finite_feature_names_the_sample(tmp_path, value):
 
 
 def test_binary_label_out_of_range(tmp_path):
-    samples = [make_sample(0, [1.0], 3)]
+    samples = make_sample(0, [1.0], 3)
     path = str(tmp_path / "t.bin")
     save_table(samples, path, format="binary", num_classes=2)
     with pytest.raises(DataError, match="outside"):
@@ -200,14 +209,24 @@ def test_unknown_format_rejected(tmp_path):
     with pytest.raises(DataError):
         load_table(str(tmp_path / "x"), format="parquet")
     with pytest.raises(DataError):
-        save_table([make_sample(0, [1.0], 0)], str(tmp_path / "x"), format="parquet")
+        save_table(make_sample(0, [1.0], 0), str(tmp_path / "x"), format="parquet")
+
+
+def test_ids_outside_the_storable_range_are_data_errors(tmp_path):
+    path = write_csv(tmp_path / "t.csv", f"id,label,f0\n{2**64},0,1.0\n")
+    with pytest.raises(DataError, match="out of range"):
+        load_table(path)
+    for sid in (-1, 2**32):
+        with pytest.raises(DataError, match="ids in"):
+            save_table(make_sample(sid, [1.0], 0), str(tmp_path / "t.bin"), format="binary")
 
 
 def test_save_empty_or_ragged_rejected(tmp_path):
     with pytest.raises(DataError):
-        save_table([], str(tmp_path / "x.csv"))
-    ragged = [make_sample(0, [1.0], 0), make_sample(1, [1.0, 2.0], 0)]
+        save_table(make_sample(0, [1.0], 0)[:0], str(tmp_path / "x.csv"))
+    # rows of one set share a dimension: a ragged set cannot be built
     with pytest.raises(DataError, match="dimension"):
+        ragged = samples_of(make_sample(0, [1.0], 0), make_sample(1, [1.0, 2.0], 0))
         save_table(ragged, str(tmp_path / "x.csv"))
 
 
@@ -222,7 +241,7 @@ def blob_samples(per_class=12, classes=3):
         for i in range(per_class):
             out.append(make_sample(sid, [float(cls), float(i)], cls))
             sid += 1
-    return out
+    return samples_of(*out)
 
 
 def test_split_counts_and_partition():
@@ -231,23 +250,23 @@ def test_split_counts_and_partition():
     assert len(triple.labelled) == 12
     assert len(triple.unlabelled) == 36 - 12 - 6
     assert len(triple.validation) == 6
-    all_ids = sorted(s.id for part in (triple.labelled, triple.unlabelled, triple.validation) for s in part)
-    assert all_ids == [s.id for s in samples]
+    parts = (triple.labelled, triple.unlabelled, triple.validation)
+    all_ids = sorted(sid for part in parts for sid in part.ids.tolist())
+    assert all_ids == samples.ids.tolist()
     for cls in range(3):
-        assert sum(1 for s in triple.labelled if s.true_label == cls) == 4
+        assert (triple.labelled.true_label == cls).sum() == 4
 
 
 def test_split_unlabelled_keep_truth_but_lose_label():
     triple = split(blob_samples(), labelled_per_class=4, validation_count=0, seed=1)
-    for s in triple.unlabelled:
-        assert s.assigned_label is None
-        assert s.true_label is not None
+    assert (triple.unlabelled.label == -1).all()
+    assert (triple.unlabelled.true_label != -1).all()
 
 
 def test_split_exhaustive_leaves_pool_empty():
     triple = split(blob_samples(), labelled_per_class=12, validation_count=0, seed=0)
-    assert triple.unlabelled == []
-    assert triple.validation == []
+    assert len(triple.unlabelled) == 0
+    assert len(triple.validation) == 0
     assert len(triple.labelled) == 36
 
 
@@ -255,28 +274,29 @@ def test_split_is_deterministic_and_order_insensitive():
     samples = blob_samples()
     t1 = split(samples, 4, 6, seed=7)
     t2 = split(samples, 4, 6, seed=7)
-    t3 = split(list(reversed(samples)), 4, 6, seed=7)
+    t3 = split(samples[::-1], 4, 6, seed=7)
     for a, b in ((t1, t2), (t1, t3)):
-        assert [s.id for s in a.labelled] == [s.id for s in b.labelled]
-        assert [s.id for s in a.unlabelled] == [s.id for s in b.unlabelled]
-        assert [s.id for s in a.validation] == [s.id for s in b.validation]
+        assert a.labelled.ids.tolist() == b.labelled.ids.tolist()
+        assert a.unlabelled.ids.tolist() == b.unlabelled.ids.tolist()
+        assert a.validation.ids.tolist() == b.validation.ids.tolist()
     t4 = split(samples, 4, 6, seed=8)
-    assert [s.id for s in t1.labelled] != [s.id for s in t4.labelled]
+    assert t1.labelled.ids.tolist() != t4.labelled.ids.tolist()
 
 
 def test_split_sends_rows_without_ground_truth_to_the_pool():
     # labelled rows get even ids, unknown rows odd ids in between them
-    known = [
-        make_sample(2 * s.id, s.features, s.true_label) for s in blob_samples()
-    ]
-    unknown = [make_sample(2 * i + 1, [0.5, float(i)], None) for i in range(0, 36, 5)]
+    known = blob_samples()
+    known = replace(known, ids=2 * known.ids)
+    unknown = samples_of(
+        *(make_sample(2 * i + 1, [0.5, float(i)], None) for i in range(0, 36, 5))
+    )
     before = split(known, 4, 6, seed=3)
-    after = split(known + unknown, 4, 6, seed=3)
-    assert [s.id for s in after.labelled] == [s.id for s in before.labelled]
-    assert [s.id for s in after.validation] == [s.id for s in before.validation]
-    pool_ids = [s.id for s in after.unlabelled]
-    assert pool_ids == sorted([s.id for s in before.unlabelled] + [s.id for s in unknown])
-    assert all(s.assigned_label is None for s in after.unlabelled)
+    after = split(samples_of(known, unknown), 4, 6, seed=3)
+    assert after.labelled.ids.tolist() == before.labelled.ids.tolist()
+    assert after.validation.ids.tolist() == before.validation.ids.tolist()
+    pool_ids = after.unlabelled.ids.tolist()
+    assert pool_ids == sorted(before.unlabelled.ids.tolist() + unknown.ids.tolist())
+    assert (after.unlabelled.label == -1).all()
     after.validate()
 
 
@@ -288,7 +308,7 @@ def test_split_errors():
         split(samples, labelled_per_class=3, validation_count=1, seed=0)
     with pytest.raises(DataError):
         split(samples, labelled_per_class=0, validation_count=0, seed=0)
-    unlabelled = [make_sample(0, [1.0], None)]
+    unlabelled = make_sample(0, [1.0], None)
     with pytest.raises(DataError, match="ground-truth"):
         split(unlabelled, labelled_per_class=1, validation_count=0, seed=0)
 
@@ -298,50 +318,47 @@ def test_split_errors():
 # ---------------------------------------------------------------------------
 
 def toy_triple():
-    labelled = [make_sample(0, [0.0], 0), make_sample(1, [1.0], 1)]
-    unlabelled = [
-        Sample(id=i, features=np.array([float(i)]), true_label=i % 2)
-        for i in range(2, 8)
-    ]
-    return DatasetTriple(labelled, unlabelled, [])
+    labelled = samples_of(make_sample(0, [0.0], 0), make_sample(1, [1.0], 1))
+    unlabelled = samples_of(
+        *(replace(make_sample(i, [float(i)], i % 2), label=np.array([-1])) for i in range(2, 8))
+    )
+    return DatasetTriple(labelled, unlabelled, labelled[:0])
 
 
 def test_admit_moves_samples_and_scores_accuracy():
     triple = toy_triple()
     # ids 2,4 are truly 0; ids 3,5 truly 1. Label 3 of 4 correctly.
-    admissions = [(2, 0, 0.9), (3, 1, 0.8), (4, 0, 0.7), (5, 0, 0.6)]
-    new, record = admit(triple, admissions, iteration=2)
+    new, record = admit(triple, [2, 3, 4, 5], [0, 1, 0, 0], iteration=2)
     assert record.addition_accuracy == 0.75
-    assert sorted(record.admitted_ids) == [2, 3, 4, 5]
-    assert record.assigned_labels[5] == 0
-    assert record.confidences[2] == 0.9
+    assert sorted(record.admitted_ids.tolist()) == [2, 3, 4, 5]
     assert new.total_size() == triple.total_size()
     assert len(new.labelled) == 6
     assert len(new.unlabelled) == 2
-    admitted = {s.id: s for s in new.labelled if s.provenance == "pseudo"}
-    assert set(admitted) == {2, 3, 4, 5}
-    assert all(s.admitted_iteration == 2 for s in admitted.values())
-    assert admitted[5].assigned_label == 0
-    assert admitted[5].true_label == 1  # hidden truth survives admission
+    admitted = new.labelled[new.labelled.admitted != 0]  # pseudo rows
+    assert set(admitted.ids.tolist()) == {2, 3, 4, 5}
+    assert (admitted.admitted == 2).all()
+    five = admitted[admitted.ids == 5]
+    assert five.label[0] == 0
+    assert five.true_label[0] == 1  # hidden truth survives admission
     new.validate()
 
 
 def test_admit_empty_is_identity():
     triple = toy_triple()
-    new, record = admit(triple, [], iteration=1)
+    new, record = admit(triple, [], [], iteration=1)
     assert new is triple
-    assert record.admitted_ids == []
+    assert record.admitted_ids.tolist() == []
     assert record.addition_accuracy is None
 
 
 def test_admit_rejects_ids_outside_pool():
     triple = toy_triple()
     with pytest.raises(DataError, match="not in the unlabelled pool"):
-        admit(triple, [(0, 0, 0.9)], iteration=1)  # id 0 already labelled
+        admit(triple, [0], [0], iteration=1)  # id 0 already labelled
     with pytest.raises(DataError, match="not in the unlabelled pool"):
-        admit(triple, [(99, 0, 0.9)], iteration=1)
+        admit(triple, [99], [0], iteration=1)
     with pytest.raises(DataError, match="twice"):
-        admit(triple, [(2, 0, 0.9), (2, 1, 0.8)], iteration=1)
+        admit(triple, [2, 2], [0, 1], iteration=1)
 
 
 def test_admit_sequence_conserves_and_grows():
@@ -349,7 +366,7 @@ def test_admit_sequence_conserves_and_grows():
     total = triple.total_size()
     sizes = [len(triple.labelled)]
     for it, sid in enumerate([2, 3, 4], start=1):
-        triple, _ = admit(triple, [(sid, sid % 2, 0.5)], iteration=it)
+        triple, _ = admit(triple, [sid], [sid % 2], iteration=it)
         triple.validate()
         assert triple.total_size() == total
         sizes.append(len(triple.labelled))
@@ -358,26 +375,26 @@ def test_admit_sequence_conserves_and_grows():
 
 def test_release_pseudo_returns_admissions_to_pool():
     triple = toy_triple()
-    triple, _ = admit(triple, [(2, 0, 0.9), (5, 0, 0.6)], iteration=1)
+    triple, _ = admit(triple, [2, 5], [0, 0], iteration=1)
     released = release_pseudo(triple)
     assert len(released.labelled) == 2  # the clean originals
-    assert {s.id for s in released.unlabelled} == {2, 3, 4, 5, 6, 7}
-    by_id = {s.id: s for s in released.unlabelled}
-    assert by_id[2].assigned_label is None
-    assert by_id[2].true_label == 0
-    assert [s.id for s in released.unlabelled] == sorted(by_id)
+    pool = released.unlabelled
+    assert set(pool.ids.tolist()) == {2, 3, 4, 5, 6, 7}
+    two = pool[pool.ids == 2]
+    assert two.label[0] == -1
+    assert two.true_label[0] == 0
+    assert pool.ids.tolist() == sorted(pool.ids.tolist())
     released.validate()
 
 
 def test_triple_validate_catches_violations():
-    dup = DatasetTriple(
-        [make_sample(0, [0.0], 0)], [Sample(id=0, features=np.zeros(1))], []
-    )
+    empty = make_sample(0, [0.0], 0)[:0]
+    dup = DatasetTriple(make_sample(0, [0.0], 0), make_sample(0, [0.0], None), empty)
     with pytest.raises(DataError, match="id 0"):
         dup.validate()
-    bad_unlabelled = DatasetTriple([], [make_sample(1, [0.0], 1)], [])
+    bad_unlabelled = DatasetTriple(empty, make_sample(1, [0.0], 1), empty)
     with pytest.raises(DataError, match="unlabelled"):
         bad_unlabelled.validate()
-    bad_labelled = DatasetTriple([Sample(id=2, features=np.zeros(1))], [], [])
+    bad_labelled = DatasetTriple(make_sample(2, [0.0], None), empty, empty)
     with pytest.raises(DataError, match="no assigned label"):
         bad_labelled.validate()

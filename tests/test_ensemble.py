@@ -125,7 +125,7 @@ def test_identical_augmentations_reproduce_plain_prediction():
     plan = AugmentationPlan.from_transforms([Identity(), GaussianJitter(0.0)])
     result = ensemble_predict(model, plan, sample, seed=0)
     np.testing.assert_array_equal(
-        result.distribution, predict_proba(model, sample.features)
+        result.distribution, predict_proba(model, sample.X[0])
     )
     np.testing.assert_array_equal(result.sigma, [0.0, 0.0])
 

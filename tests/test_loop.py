@@ -2,7 +2,10 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ile import ConfigError, RunConfig, TrainConfig
 from ile.augment import AugmentationPlan, GaussianJitter, Identity
@@ -192,30 +195,107 @@ def test_step_by_step_invariants_hold():
         assert state.triple.total_size() == total
         assert len(state.triple.labelled) >= last_dl
         last_dl = len(state.triple.labelled)
-        assert record.added_count == len(
-            [s for s in state.triple.labelled if s.admitted_iteration == it]
-        )
+        assert record.added_count == (state.triple.labelled.admitted == it).sum()
 
 
 def test_addition_accuracy_counts_only_rows_with_ground_truth():
     cfg = small_cfg()
     base_seed = 3
-    samples = [
-        replace(s, true_label=None, assigned_label=None) if s.id % 3 == 0 else s
-        for s in loop._load_samples(cfg)
-    ]
+    samples = loop._load_samples(cfg)
+    unknown = np.where(samples.ids % 3 == 0, -1, samples.true_label)
+    samples = replace(samples, true_label=unknown, label=unknown)
     from ile.datasets import split as split_samples
 
     triple = split_samples(samples, 5, 30, seed=derive_seed(base_seed, "split"))
     state = LoopState(config=cfg, triple=triple, d=2, C=3)
     state, record = run_iteration(state, 1, base_seed)
-    admitted = [s for s in state.triple.labelled if s.admitted_iteration == 1]
-    judged = [s for s in admitted if s.true_label is not None]
+    admitted = state.triple.labelled[state.triple.labelled.admitted == 1]
+    judged = admitted[admitted.true_label != -1]
     assert len(judged) < len(admitted) == record.added_count
-    assert judged, "expected admitted rows with ground truth"
-    expected = sum(s.assigned_label == s.true_label for s in judged) / len(judged)
+    assert len(judged), "expected admitted rows with ground truth"
+    expected = int((judged.label == judged.true_label).sum()) / len(judged)
     assert record.addition_accuracy == expected
     assert record.cumulative_addition_accuracy == expected
+
+
+def check_row_bookkeeping(triple, iteration, rescore):
+    """Labels and provenance of every row of ``triple`` after ``iteration``."""
+    v = triple.validation
+    assert (v.admitted == 0).all()  # clean
+    assert (v.label != -1).all() and (v.label == v.true_label).all()
+    u = triple.unlabelled
+    assert (u.admitted == 0).all() and (u.label == -1).all()
+    labelled = triple.labelled
+    clean = labelled[labelled.admitted == 0]
+    pseudo = labelled[labelled.admitted != 0]
+    assert (clean.label == clean.true_label).all()
+    assert (pseudo.label != -1).all()
+    if rescore:
+        assert (pseudo.admitted == iteration).all()
+    else:
+        assert ((1 <= pseudo.admitted) & (pseudo.admitted <= iteration)).all()
+    # D_l order: clean rows by id, then each iteration's admissions by id
+    key = list(zip(labelled.admitted.tolist(), labelled.ids.tolist()))
+    assert key == sorted(key)
+    assert u.ids.tolist() == sorted(u.ids.tolist())
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    rescore=st.booleans(),
+    refresh=st.sampled_from(["every_iteration", "freeze_after_first"]),
+    admit_rule=st.sampled_from(["closed", "open"]),
+    manual=st.one_of(st.none(), st.floats(0.3, 1.0)),
+    target=st.floats(0.6, 1.0),
+    base_seed=st.integers(0, 2**16),
+)
+def test_bookkeeping_holds_after_every_iteration_in_every_mode(
+    rescore, refresh, admit_rule, manual, target, base_seed
+):
+    cfg = small_cfg(
+        data=DataSource(synth=SynthSpec("blobs", classes=3, per_class=20, noise=1.0)),
+        split=SplitSpec(labelled_per_class=3, validation_count=9),
+        classifier=ClassifierSpec(train=TrainConfig(epochs=8)),
+        threshold=ThresholdSpec(
+            target_accuracy=target, manual=manual, refresh=refresh, admit_rule=admit_rule
+        ),
+        loop=LoopSpec(max_iterations=3, rescore_admitted=rescore),
+    )
+    from ile.datasets import split as split_samples
+
+    samples = loop._load_samples(cfg)
+    triple = split_samples(samples, 3, 9, seed=derive_seed(base_seed, "split"))
+    all_ids = sorted(samples.ids.tolist())
+    validation_ids = triple.validation.ids.tolist()
+    total = len(triple.labelled) + len(triple.unlabelled)
+    clean_count = len(triple.labelled)
+    state = LoopState(config=cfg, triple=triple, d=2, C=3)
+    thresholds = []
+    for it in range(1, 4):
+        state, record = run_iteration(state, it, base_seed)
+        thresholds.append(record.threshold)
+        t = state.triple
+        t.validate()
+        parts = [part.ids.tolist() for part in (t.labelled, t.unlabelled, t.validation)]
+        assert sorted(sum(parts, [])) == all_ids  # disjoint and complete
+        assert parts[2] == validation_ids
+        assert record.dl_size + record.du_size == total
+        assert len(t.labelled) + len(t.unlabelled) == total
+        assert len(t.labelled) == record.dl_size + record.added_count
+        if rescore:
+            assert record.dl_size == clean_count
+        if manual is not None:
+            assert record.threshold == manual
+        elif refresh == "freeze_after_first":
+            assert record.threshold == thresholds[0]
+        check_row_bookkeeping(t, it, rescore)
+        assert (t.labelled.admitted == it).sum() == record.added_count
+        if record.du_size - record.added_count <= 0:
+            break
 
 
 def test_should_stop_rules():

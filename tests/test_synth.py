@@ -6,8 +6,8 @@ from ile import ConfigError, generate
 
 def test_zero_noise_blobs_sit_exactly_on_centers():
     samples = generate("blobs", classes=2, per_class=5, noise=0.0, seed=0)
-    class0 = [s.features for s in samples if s.true_label == 0]
-    class1 = [s.features for s in samples if s.true_label == 1]
+    class0 = samples.X[samples.true_label == 0]
+    class1 = samples.X[samples.true_label == 1]
     for f in class0:
         np.testing.assert_array_equal(f, class0[0])
     for f in class1:
@@ -21,33 +21,29 @@ def test_generation_is_deterministic():
         a = generate(kind, classes, per_class=10, noise=0.3, seed=5)
         b = generate(kind, classes, per_class=10, noise=0.3, seed=5)
         c = generate(kind, classes, per_class=10, noise=0.3, seed=6)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.features, sb.features)
-        assert any(
-            not np.array_equal(sa.features, sc.features) for sa, sc in zip(a, c)
-        )
+        for sa, sb in zip(a.X, b.X):
+            np.testing.assert_array_equal(sa, sb)
+        assert any(not np.array_equal(sa, sc) for sa, sc in zip(a.X, c.X))
 
 
 def test_ids_are_sequential_and_class_major():
     samples = generate("blobs", classes=3, per_class=4, noise=0.1, seed=1)
-    assert [s.id for s in samples] == list(range(12))
-    assert [s.true_label for s in samples] == [0] * 4 + [1] * 4 + [2] * 4
-    assert all(s.assigned_label == s.true_label for s in samples)
-    assert all(s.provenance == "clean" for s in samples)
+    assert samples.ids.tolist() == list(range(12))
+    assert samples.true_label.tolist() == [0] * 4 + [1] * 4 + [2] * 4
+    assert (samples.label == samples.true_label).all()
+    assert (samples.admitted == 0).all()  # clean
 
 
 def test_rings_lie_on_their_radii():
     samples = generate("rings", classes=3, per_class=8, noise=0.0, seed=2)
-    for s in samples:
-        np.testing.assert_allclose(
-            np.linalg.norm(s.features), s.true_label + 1.0, atol=1e-12
-        )
+    for x, true_label in zip(samples.X, samples.true_label):
+        np.testing.assert_allclose(np.linalg.norm(x), true_label + 1.0, atol=1e-12)
 
 
 def test_digits_grid_is_binary_at_zero_noise():
     samples = generate("digits_grid", classes=3, per_class=4, noise=0.0, seed=3)
-    assert all(s.features.shape == (25,) for s in samples)
-    values = np.concatenate([s.features for s in samples])
+    assert samples.X.shape == (12, 25)
+    values = samples.X.ravel()
     assert set(np.unique(values)) <= {0.0, 1.0}
 
 

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ile import DataError
 from ile.threshold import learn_threshold, select_admissions, threshold_accuracy
@@ -90,6 +92,24 @@ def test_threshold_is_monotone_in_the_target():
         assert cuts == sorted(cuts)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 20).map(lambda k: k / 20), st.booleans()),
+        min_size=1,
+        max_size=60,
+    ),
+    targets=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=2, max_size=6),
+    strict=st.booleans(),
+)
+def test_threshold_is_non_decreasing_in_the_target_under_both_rules(
+    rows, targets, strict
+):
+    confidences, correct = scored(rows)
+    cuts = [learn_threshold(confidences, correct, t, strict) for t in sorted(targets)]
+    assert cuts == sorted(cuts)
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive oracle
 # ---------------------------------------------------------------------------
@@ -139,26 +159,31 @@ def pool_of(confidences, labels=None):
     )
 
 
+def admitted(*args, **kwargs):
+    """select_admissions' (ids, labels, confidences) arrays as row tuples."""
+    return list(zip(*(a.tolist() for a in select_admissions(*args, **kwargs))))
+
+
 def test_infinite_cut_admits_nothing():
     rows = pool_of([0.99, 0.8])
-    assert select_admissions(*rows, math.inf) == []
-    assert select_admissions(*rows, 1.5) == []
+    assert admitted(*rows, math.inf) == []
+    assert admitted(*rows, 1.5) == []
 
 
 def test_admissions_match_a_filter_and_ignore_order():
     rows = pool_of([0.9, 0.4, 0.8, 0.7, 0.2])
-    got = select_admissions(*rows, 0.7)
+    got = admitted(*rows, 0.7)
     assert {(sid, conf) for sid, _, conf in got} == {(0, 0.9), (2, 0.8), (3, 0.7)}
     shuffled = tuple(a[::-1] for a in rows)
-    got2 = select_admissions(*shuffled, 0.7)
+    got2 = admitted(*shuffled, 0.7)
     assert sorted(got) == sorted(got2)
     # the boundary sample is dropped under the strict rule
-    strict = select_admissions(*rows, 0.7, strict=True)
+    strict = admitted(*rows, 0.7, strict=True)
     assert {sid for sid, _, _ in strict} == {0, 2}
 
 
 def test_admissions_carry_label_and_confidence():
     rows = (np.array([5]), np.array([3]), np.array([0.9]))
     got = select_admissions(*rows, 0.5)
-    assert got == [(5, 3, 0.9)]
-    assert all(type(v) in (int, float) for v in got[0])
+    assert admitted(*rows, 0.5) == [(5, 3, 0.9)]
+    assert [a.dtype.kind for a in got] == ["i", "i", "f"]
