@@ -90,9 +90,9 @@ def init_model(architecture, d, C, seed, hidden_units=None) -> ModelState:
 
 
 def softmax(logits):
-    z = logits - np.max(logits, axis=-1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _forward(params, architecture, X):
@@ -102,35 +102,44 @@ def _forward(params, architecture, X):
     return softmax(hidden @ params["W2"] + params["b2"]), hidden
 
 
+def _gradients(params, architecture, X, Y, l2):
+    """Gradients of the mean cross-entropy plus l2 * sum(W^2) at ``params``.
+
+    ``Y`` holds the one-hot targets of the rows of ``X``. The L2 term enters
+    the weight-matrix gradients only, not the biases. Subtracting a one-hot
+    row equals subtracting 1 at the true class exactly (``p - 0.0 == p``).
+    """
+    probs, hidden = _forward(params, architecture, X)
+    dlogits = probs  # a fresh array; becomes d(loss)/d(logits) in place
+    dlogits -= Y
+    dlogits /= X.shape[0]
+    decay = 2.0 * l2
+    if architecture == SOFTMAX_REGRESSION:
+        gW = X.T @ dlogits
+        gW += decay * params["W"]
+        return {"W": gW, "b": dlogits.sum(axis=0)}
+    dhidden = dlogits @ params["W2"].T
+    dhidden *= 1.0 - hidden**2
+    gW1 = X.T @ dhidden
+    gW1 += decay * params["W1"]
+    gW2 = hidden.T @ dlogits
+    gW2 += decay * params["W2"]
+    return {"W1": gW1, "b1": dhidden.sum(axis=0), "W2": gW2, "b2": dlogits.sum(axis=0)}
+
+
 def loss_and_grad(params, architecture, X, y, C, l2):
     """Mean cross-entropy plus l2 * sum(W^2), with analytic gradients.
 
-    The L2 penalty covers weight matrices only, not biases.
+    The L2 penalty covers weight matrices only, not biases. ``fit`` takes
+    its gradients from the same ``_gradients`` and never computes the loss.
     """
     n = X.shape[0]
-    probs, hidden = _forward(params, architecture, X)
+    probs, _ = _forward(params, architecture, X)
     eps = 1e-12
     ce = -np.mean(np.log(probs[np.arange(n), y] + eps))
-    dlogits = probs.copy()
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
-
-    if architecture == SOFTMAX_REGRESSION:
-        loss = ce + l2 * np.sum(params["W"] ** 2)
-        grads = {
-            "W": X.T @ dlogits + 2.0 * l2 * params["W"],
-            "b": dlogits.sum(axis=0),
-        }
-    else:
-        loss = ce + l2 * (np.sum(params["W1"] ** 2) + np.sum(params["W2"] ** 2))
-        dhidden = (dlogits @ params["W2"].T) * (1.0 - hidden**2)
-        grads = {
-            "W1": X.T @ dhidden + 2.0 * l2 * params["W1"],
-            "b1": dhidden.sum(axis=0),
-            "W2": hidden.T @ dlogits + 2.0 * l2 * params["W2"],
-            "b2": dlogits.sum(axis=0),
-        }
-    return loss, grads
+    weights = ("W",) if architecture == SOFTMAX_REGRESSION else ("W1", "W2")
+    loss = ce + l2 * sum(np.sum(params[k] ** 2) for k in weights)
+    return loss, _gradients(params, architecture, X, np.eye(C)[y], l2)
 
 
 def fit(model, labelled, config, seed, validation=None) -> ModelState:
@@ -140,7 +149,10 @@ def fit(model, labelled, config, seed, validation=None) -> ModelState:
     given and early stopping is configured, training stops once validation
     error has not improved for ``early_stop_patience`` epochs and the best
     parameters are kept. Raises TrainingError as soon as an epoch leaves a
-    parameter NaN or infinite.
+    parameter NaN or infinite; overflow on the way there emits no warning.
+
+    Each epoch gathers its permutation of the rows once, so every batch is a
+    contiguous slice, and the step ``p -= lr * g`` runs in place.
     """
     config.validate()
     if not labelled:
@@ -152,34 +164,42 @@ def fit(model, labelled, config, seed, validation=None) -> ModelState:
         raise DataError(f"labels outside [0, {model.C})")
 
     params = {k: v.copy() for k, v in model.params.items()}
-    n = X.shape[0]
+    onehot = np.eye(model.C)[y]
+    n, batch, lr = X.shape[0], config.batch_size, config.learning_rate
     best_err = np.inf
     best_params = None
     stale = 0
-    for epoch in range(config.epochs):
-        order = rng(seed, "epoch", epoch).permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            _, grads = loss_and_grad(
-                params, model.architecture, X[idx], y[idx], model.C, config.l2
-            )
-            for k in params:
-                params[k] -= config.learning_rate * grads[k]
-        if not all(np.isfinite(v).all() for v in params.values()):
-            raise TrainingError(
-                f"training diverged: non-finite parameters after epoch {epoch + 1}"
-            )
-        if validation is not None and config.early_stop_patience is not None:
-            trained = replace(model, params=params, trained=True)
-            err = evaluate(trained, validation)
-            if err < best_err:
-                best_err = err
-                best_params = {k: v.copy() for k, v in params.items()}
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.early_stop_patience:
-                    break
+    # a diverging run is reported by the finite check below, not by warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng(seed, "epoch", epoch).permutation(n)
+            Xe, Ye = X[order], onehot[order]
+            for start in range(0, n, batch):
+                grads = _gradients(
+                    params,
+                    model.architecture,
+                    Xe[start : start + batch],
+                    Ye[start : start + batch],
+                    config.l2,
+                )
+                for k, g in grads.items():
+                    g *= lr
+                    params[k] -= g
+            if not all(np.isfinite(v).all() for v in params.values()):
+                raise TrainingError(
+                    f"training diverged: non-finite parameters after epoch {epoch + 1}"
+                )
+            if validation is not None and config.early_stop_patience is not None:
+                trained = replace(model, params=params, trained=True)
+                err = evaluate(trained, validation)
+                if err < best_err:
+                    best_err = err
+                    best_params = {k: v.copy() for k, v in params.items()}
+                    stale = 0
+                else:
+                    stale += 1
+                    if stale >= config.early_stop_patience:
+                        break
     if best_params is not None:
         params = best_params
     return replace(model, params=params, trained=True)

@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,8 @@ class IterationRecord:
 
     Sizes are those of D_l and D_u when the pool is scored, that is after
     re-scoring mode has returned earlier pseudo-labels to the pool.
+    ``stage_s`` maps each of STAGES to its wall-clock seconds; like
+    ``wall_time`` it goes to metrics.csv, never to report.json.
     """
 
     iteration: int
@@ -63,6 +65,7 @@ class IterationRecord:
     val_error: float | None
     threshold: float
     wall_time: float
+    stage_s: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -81,6 +84,31 @@ class LoopState:
     d: int
     C: int
     frozen_threshold: float | None = None
+
+
+# the timed stages of one iteration, in order; metrics.csv has a
+# "<stage>_s" column for each
+STAGES = (
+    "fit",  # init, fit and validation error
+    "prototypes",
+    "score_train",
+    "weights_threshold",
+    "score_pool",  # with re-scoring mode's release of earlier admissions
+    "admit",
+)
+
+
+class _StageClock:
+    """Seconds between successive ``lap`` calls, keyed by stage name."""
+
+    def __init__(self):
+        self.seconds = {}
+        self.started = self._last = time.perf_counter()
+
+    def lap(self, stage):
+        now = time.perf_counter()
+        self.seconds[stage] = now - self._last
+        self._last = now
 
 
 # samples scored per forward pass; whole-pool arrays cost about a fifth more
@@ -139,11 +167,13 @@ def _score(samples, model, prototypes, cfg, seed):
 def run_iteration(state, iteration_index, base_seed):
     """Train, score, admit; returns (new state, IterationRecord)."""
     cfg = state.config
-    started = time.perf_counter()
+    clock = _StageClock()
     triple = state.triple
 
     model, val_error = _train(cfg, triple, state.d, state.C, base_seed, iteration_index)
+    clock.lap("fit")
     prototypes = build_prototypes(model, triple.labelled)
+    clock.lap("prototypes")
     score_seed = derive_seed(base_seed, iteration_index, "score")
 
     train, labels = _score(triple.labelled, model, prototypes, cfg, score_seed)
@@ -151,6 +181,7 @@ def run_iteration(state, iteration_index, base_seed):
     train = train[train.scorable]
     if not train.ids.size:
         raise DataError("no training sample could be scored")
+    clock.lap("score_train")
 
     if cfg.confidence.weights is not None:
         weights = cfg.confidence.weights
@@ -170,6 +201,7 @@ def run_iteration(state, iteration_index, base_seed):
     frozen = state.frozen_threshold
     if cfg.threshold.refresh == "freeze_after_first" and frozen is None:
         frozen = t_c
+    clock.lap("weights_threshold")
 
     if cfg.loop.rescore_admitted:
         triple = release_pseudo(triple)
@@ -179,9 +211,13 @@ def run_iteration(state, iteration_index, base_seed):
     pool, _ = _score(triple.unlabelled, model, prototypes, cfg, score_seed)
     pool = pool[pool.scorable]
     confidences = combine(pool.c_a, pool.c_b, pool.c_c, weights, mode, epsilon)
+    clock.lap("score_pool")
     ids, labels, _ = select_admissions(pool.ids, pool.y1, confidences, t_c, strict)
     triple, admission_record = admit(triple, ids, labels, iteration_index)
     triple.validate()
+    # over the pseudo-labels now in D_l
+    cumulative = label_accuracy(triple.labelled[triple.labelled.admitted != 0])
+    clock.lap("admit")
 
     new_state = replace(state, triple=triple, frozen_threshold=frozen)
     record = IterationRecord(
@@ -190,13 +226,12 @@ def run_iteration(state, iteration_index, base_seed):
         du_size=du_size,
         added_count=len(ids),
         addition_accuracy=admission_record.addition_accuracy,
-        # over the pseudo-labels now in D_l
-        cumulative_addition_accuracy=label_accuracy(
-            triple.labelled[triple.labelled.admitted != 0]
-        ),
+        cumulative_addition_accuracy=cumulative,
         val_error=val_error,
         threshold=t_c,
-        wall_time=time.perf_counter() - started,
+        # read after the last lap, so the stage seconds sum to at most this
+        wall_time=time.perf_counter() - clock.started,
+        stage_s=clock.seconds,
     )
     log.info(
         "iteration %d: |D_l|=%d |D_u|=%d added=%d acc=%s val_error=%s T_c=%s",
@@ -391,6 +426,7 @@ _CSV_COLUMNS = [
     "val_error",
     "threshold",
     "wall_time",
+    *(f"{stage}_s" for stage in STAGES),
 ]
 
 
@@ -419,6 +455,10 @@ def write_artifacts(out_dir, payload, reports):
                         "" if r.val_error is None else repr(r.val_error),
                         repr(r.threshold),
                         repr(r.wall_time),
+                        *(
+                            repr(r.stage_s[stage]) if stage in r.stage_s else ""
+                            for stage in STAGES
+                        ),
                     ]
                 )
     log.info("wrote %s and %s", out / "report.json", out / "metrics.csv")

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from ile.classifier import (
     predict_proba_batch,
     softmax,
 )
+from ile.seeding import rng
 
 from conftest import logit_model, make_sample, samples_of
 
@@ -207,6 +209,74 @@ def test_diverging_training_fails_loudly():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingError, match="after epoch 23"):
             fit(model, samples, TrainConfig(epochs=200, learning_rate=1e6), seed=2)
+
+
+def test_diverging_training_emits_no_warning():
+    # the finite check is the only signal: no overflow or invalid-value warning
+    samples = generate("rings", classes=3, per_class=60, noise=0.3, seed=1)
+    model = init_model(MLP, d=2, C=3, seed=1, hidden_units=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingError, match="after epoch 23"):
+            fit(model, samples, TrainConfig(epochs=200, learning_rate=1e6), seed=2)
+
+
+def reference_epoch(model, samples, config, seed):
+    """Epoch 0 of plain mini-batch descent: ``p - lr * g`` per batch, with
+    ``g`` from ``loss_and_grad`` on the batch's rows gathered from ``X``."""
+    params = model.params
+    order = rng(seed, "epoch", 0).permutation(len(samples))
+    for start in range(0, len(samples), config.batch_size):
+        idx = order[start : start + config.batch_size]
+        _, grads = loss_and_grad(
+            params, model.architecture, samples.X[idx], samples.label[idx],
+            model.C, config.l2,
+        )
+        params = {k: p - config.learning_rate * grads[k] for k, p in params.items()}
+    return params
+
+
+@pytest.mark.parametrize("architecture", [SOFTMAX_REGRESSION, MLP])
+@pytest.mark.parametrize("batch_size", [11, 8])  # 33 rows: even split, 1-row tail
+def test_fit_is_exactly_plain_minibatch_descent(architecture, batch_size):
+    samples = generate("blobs", classes=3, per_class=11, noise=1.0, seed=4)
+    model = init_model(
+        architecture, d=2, C=3, seed=5, hidden_units=6 if architecture == MLP else None
+    )
+    before = {k: v.copy() for k, v in model.params.items()}
+    cfg = TrainConfig(epochs=1, learning_rate=0.3, batch_size=batch_size, l2=1e-2)
+    fitted = fit(model, samples, cfg, seed=6)
+    expected = reference_epoch(model, samples, cfg, seed=6)
+    assert list(fitted.params) == list(expected)
+    for k in expected:
+        assert np.array_equal(fitted.params[k], expected[k]), k
+        # the in-place updates never reach the caller's model
+        assert np.array_equal(model.params[k], before[k]), k
+
+
+def test_early_stopping_returns_the_best_epochs_parameters(small_triple):
+    labelled, validation = small_triple.labelled, small_triple.validation
+    model = init_model(MLP, d=2, C=3, seed=1, hidden_units=4)
+    cfg = TrainConfig(epochs=40, learning_rate=0.5, batch_size=4, early_stop_patience=2)
+    stopped = fit(model, labelled, cfg, seed=2, validation=validation)
+
+    def run_for(epochs):
+        return fit(model, labelled, replace(cfg, epochs=epochs, early_stop_patience=None), seed=2)
+
+    # replay the stopping rule on the validation error after each epoch
+    best_epoch, best_err, stale, epoch = 0, np.inf, 0, 0
+    while stale < cfg.early_stop_patience and epoch < cfg.epochs:
+        epoch += 1
+        err = evaluate(run_for(epoch), validation)
+        if err < best_err:
+            best_epoch, best_err, stale = epoch, err, 0
+        else:
+            stale += 1
+    assert best_epoch < epoch < cfg.epochs  # it stopped after epochs that did not improve
+    # the kept copy is the best epoch's, not the arrays updated after it
+    expected = run_for(best_epoch).params
+    for k in expected:
+        assert np.array_equal(stopped.params[k], expected[k]), k
 
 
 def test_early_stopping_keeps_the_best_epoch(separable_samples, small_triple):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import replace
@@ -336,6 +337,31 @@ def test_run_writes_artifacts_and_payload_matches(tmp_path):
     assert len(lines) == 1 + len(payload["iterations"])
     assert payload["config"]["seed"] == 17
     assert payload["config"]["output_dir"] is None  # the override stays out
+
+
+def test_metrics_csv_times_each_stage(tmp_path):
+    out = tmp_path / "run"
+    payload = run(small_cfg(), output_dir=str(out))
+    stages = [
+        "fit_s",
+        "prototypes_s",
+        "score_train_s",
+        "weights_threshold_s",
+        "score_pool_s",
+        "admit_s",
+    ]
+    with open(out / "metrics.csv", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [dict(zip(header, row)) for row in reader]
+    assert header[header.index("wall_time") + 1 :] == stages
+    assert len(rows) == len(payload["iterations"]) >= 2
+    for row in rows:
+        seconds = [float(row[c]) for c in stages]
+        assert all(s >= 0 for s in seconds)
+        assert sum(seconds) <= float(row["wall_time"])
+    # wall-clock facts stay out of the deterministic report
+    assert not {"wall_time", *stages} & set(payload["iterations"][0])
 
 
 def test_run_requires_an_output_directory():
