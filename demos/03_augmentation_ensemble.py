@@ -12,9 +12,9 @@ import numpy as np
 
 from ile import augment, derive_seed, generate
 from ile.augment import AugmentationPlan, GaussianJitter, Identity
-from ile.classifier import SOFTMAX_REGRESSION, TrainConfig, fit, init_model, predict_proba
+from ile.classifier import SOFTMAX_REGRESSION, TrainConfig, fit, init_model, predict_proba_batch
 from ile.datasets import split
-from ile.ensemble import ensemble_posteriors, ensemble_predict, select_distribution
+from ile.ensemble import ensemble_posteriors, select_distribution
 
 # --- a hand-sized matrix first ---------------------------------------------
 # Row 0 is the more confident one (0.70), but it stakes that claim on
@@ -48,20 +48,21 @@ pool = triple.unlabelled
 spread = select_distribution(ensemble_posteriors(model, plan, pool, seed=11)).sigma
 shaky = pool[[int(np.argmax(spread.max(axis=1)))]]  # a one-row set
 vectors = augment.apply(plan, shaky, seed=11)[0]
-z = np.stack([predict_proba(model, v) for v in vectors])
+z = predict_proba_batch(model, vectors)
 
 print(f"sample {shaky.ids[0]} at {np.round(shaky.X[0], 2)} (slot 0 is the identity):")
 for i, row in enumerate(z):
     print(f"  slot {i}: {np.round(row, 3)}")
 
-result = ensemble_predict(model, plan, shaky, seed=11)
-plain = predict_proba(model, shaky.X[0])
+# the one sample's (A, C) matrix, as the loop selects from it
+result = select_distribution(ensemble_posteriors(model, plan, shaky, seed=11)[0])
+plain = predict_proba_batch(model, shaky.X)[0]
 print(f"sigma {np.round(result.sigma, 3)}")
 print(f"ensemble keeps slot {result.chosen_index}: {np.round(result.distribution, 3)}")
 print(f"plain single prediction:  {np.round(plain, 3)}")
 print()
 
-# Augmentation noise is keyed by (seed, sample id, slot), never by worker
+# Augmentation noise is keyed by (seed, sample id, slot), never by block
 # or visit order, so a rescore reproduces the identical matrix.
-again = ensemble_predict(model, plan, shaky, seed=11)
+again = select_distribution(ensemble_posteriors(model, plan, shaky, seed=11)[0])
 print(f"rescoring is bit-identical: {np.array_equal(result.distribution, again.distribution)}")

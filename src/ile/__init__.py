@@ -22,17 +22,13 @@ from .classifier import (
     evaluate,
     fit,
     init_model,
-    predict_proba,
 )
 from .config import RunConfig, config_from_dict, config_to_dict, load_config
 from .confidence import (
-    ConfidenceReport,
     MetricWeights,
     PrototypeTable,
     build_prototypes,
-    calibrate_weights,
     combine,
-    score_sample,
 )
 from .datasets import (
     AdmissionRecord,
@@ -43,7 +39,7 @@ from .datasets import (
     save_table,
     split,
 )
-from .ensemble import EnsembleResult, ensemble_predict, select_distribution
+from .ensemble import EnsembleResult, select_distribution
 from .errors import (
     ConfigError,
     DataError,
@@ -52,7 +48,7 @@ from .errors import (
     StateError,
     TrainingError,
 )
-from .loop import IterationRecord, LoopState, RunReport, run, run_iteration, run_single
+from .loop import IterationRecord, RunReport, run, run_iteration, run_single
 from .seeding import derive_seed, rng
 from .synth import generate
 from .threshold import learn_threshold, select_admissions, threshold_accuracy
@@ -62,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissionRecord",
     "AugmentationPlan",
-    "ConfidenceReport",
     "ConfigError",
     "DataError",
     "DatasetTriple",
@@ -73,7 +68,6 @@ __all__ = [
     "Identity",
     "IleError",
     "IterationRecord",
-    "LoopState",
     "MLP",
     "MetricWeights",
     "MissingPrototypeError",
@@ -88,12 +82,10 @@ __all__ = [
     "TrainingError",
     "admit",
     "build_prototypes",
-    "calibrate_weights",
     "combine",
     "config_from_dict",
     "config_to_dict",
     "derive_seed",
-    "ensemble_predict",
     "evaluate",
     "fit",
     "generate",
@@ -102,13 +94,11 @@ __all__ = [
     "load_config",
     "load_table",
     "make_transform",
-    "predict_proba",
     "rng",
     "run",
     "run_iteration",
     "run_single",
     "save_table",
-    "score_sample",
     "select_admissions",
     "select_distribution",
     "split",

@@ -205,17 +205,6 @@ def fit(model, labelled, config, seed, validation=None) -> ModelState:
     return replace(model, params=params, trained=True)
 
 
-def predict_proba(model, features):
-    """Posterior class distribution for one feature vector."""
-    if not model.trained:
-        raise StateError("model is not trained")
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape != (model.d,):
-        raise DataError(f"expected feature shape ({model.d},), got {features.shape}")
-    probs, _ = _forward(model.params, model.architecture, features[None, :])
-    return probs[0]
-
-
 def predict_proba_batch(model, X):
     """Posterior distributions for a (n, d) matrix of feature vectors."""
     if not model.trained:

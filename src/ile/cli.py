@@ -43,9 +43,6 @@ def build_parser():
     p_run.add_argument("--seed", type=int, default=None, help="override config seed")
     p_run.add_argument("--out", default=None, help="override output directory")
     p_run.add_argument(
-        "--workers", type=int, default=1, help="accepted for compatibility; runs are serial"
-    )
-    p_run.add_argument(
         "--dry-run", action="store_true", help="validate config and exit"
     )
 
@@ -67,8 +64,6 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.workers < 1:
-        raise ConfigError("--workers must be >= 1")
     if cfg.output_dir is None and args.out is None:
         raise ConfigError("no output directory: set output_dir in the config or pass --out")
     if cfg.data.path is not None and not os.path.exists(cfg.data.path):
@@ -76,7 +71,7 @@ def cmd_run(args) -> int:
     if args.dry_run:
         print(f"config {args.config} OK")
         return 0
-    payload = loop.run(cfg, workers=args.workers, output_dir=args.out)
+    payload = loop.run(cfg, output_dir=args.out)
     out = args.out if args.out is not None else cfg.output_dir
     summary = payload.get("summary")
     if summary is not None:
@@ -94,39 +89,47 @@ def _fmt_pct(x):
     return f"{100.0 * x:.2f}%"
 
 
-def _print_single(rep):
+def _improvement(points):
+    # positive means the error fell
+    return f"  (improvement {100.0 * points:+.2f} points)" if points is not None else ""
+
+
+def _single_lines(rep):
     bench = rep["benchmark_val_error"]
     final = rep["final_val_error"]
     records = rep["iterations"]
-    print(f"benchmark error : {_fmt_pct(bench) if bench is not None else 'n/a'}")
+    lines = [f"benchmark error : {_fmt_pct(bench) if bench is not None else 'n/a'}"]
     if not records:
-        return
-    line = f"final error     : {_fmt_pct(final) if final is not None else 'n/a'}"
-    if bench is not None and final is not None:
-        line += f"  (improvement {100.0 * (final - bench):+.2f} points)"
-    print(line)
+        return lines
+    lines.append(
+        f"final error     : {_fmt_pct(final) if final is not None else 'n/a'}"
+        + _improvement(rep["improvement"])
+    )
     added = sum(r["added_count"] for r in records)
     acc = records[-1]["cumulative_addition_accuracy"]
     acc_text = f"  (addition accuracy {_fmt_pct(acc)})" if acc is not None else ""
-    print(f"added samples   : {added}{acc_text}")
-    print(f"iterations      : {len(records)}")
+    lines.append(f"added samples   : {added}{acc_text}")
+    lines.append(f"iterations      : {len(records)}")
+    return lines
 
 
-def _print_summary(payload):
+def _summary_lines(payload):
     s = payload["summary"]
     bench, bench_std = s["benchmark_val_error_mean"], s["benchmark_val_error_std"]
     final, final_std = s["final_val_error_mean"], s["final_val_error_std"]
+    lines = []
     if bench is not None:
-        print(f"benchmark error : {_fmt_pct(bench)} (±{100.0 * bench_std:.2f})")
+        lines.append(f"benchmark error : {_fmt_pct(bench)} (±{100.0 * bench_std:.2f})")
     if final is not None:
-        line = f"final error     : {_fmt_pct(final)} (±{100.0 * final_std:.2f})"
-        if bench is not None:
-            line += f"  (improvement {100.0 * (final - bench):+.2f} points)"
-        print(line)
+        lines.append(
+            f"final error     : {_fmt_pct(final)} (±{100.0 * final_std:.2f})"
+            + _improvement(s["improvement_mean"])
+        )
     acc = s["cumulative_addition_accuracy_mean"]
     acc_text = f"  (addition accuracy {_fmt_pct(acc)})" if acc is not None else ""
-    print(f"added samples   : {s['added_count_mean']:.1f} mean{acc_text}")
-    print(f"repeats         : {s['repeat_count']}")
+    lines.append(f"added samples   : {s['added_count_mean']:.1f} mean{acc_text}")
+    lines.append(f"repeats         : {s['repeat_count']}")
+    return lines
 
 
 def _write_curves(run_dir, repeats):
@@ -167,13 +170,16 @@ def cmd_report(args) -> int:
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
 
-    if "summary" in payload:
-        _print_summary(payload)
-        repeats = payload["repeats"]
-    else:
-        _print_single(payload)
-        repeats = [payload]
-    _write_curves(args.run_dir, repeats)
+    # a payload of the wrong shape fails on a missing key or a wrong type
+    try:
+        if "summary" in payload:
+            lines, repeats = _summary_lines(payload), payload["repeats"]
+        else:
+            lines, repeats = _single_lines(payload), [payload]
+        _write_curves(args.run_dir, repeats)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path} is not an ile report") from exc
+    print("\n".join(lines))
     return 0
 
 

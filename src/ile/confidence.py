@@ -5,7 +5,8 @@ the margin over the runner-up, and the distance to the per-class prototype
 (the mean posterior over all training samples assigned to the predicted
 class). A weighted combination yields the single confidence the admission
 threshold acts on; the distance metric is inverted so that higher is better
-everywhere.
+everywhere. ``block_metrics`` is the one place the metrics are computed, on
+a block of chosen distributions at a time.
 """
 
 from dataclasses import dataclass, fields
@@ -21,18 +22,14 @@ COMBINE_MODES = ("bounded", "reciprocal")
 
 @dataclass
 class PrototypeTable:
-    """Per-class mean posterior distributions with sample counts."""
+    """Per-class mean posterior distributions with sample counts.
+
+    A class with count 0 has no prototype; samples predicted as it are not
+    scorable.
+    """
 
     table: np.ndarray  # (C, C); row y = mean posterior over samples labelled y
     counts: np.ndarray  # (C,) samples per class
-
-    def present(self, label) -> bool:
-        return 0 <= label < len(self.counts) and self.counts[label] > 0
-
-    def get(self, label) -> np.ndarray:
-        if not self.present(label):
-            raise MissingPrototypeError(f"no prototype for class {label}")
-        return self.table[label]
 
 
 @dataclass(frozen=True)
@@ -50,43 +47,6 @@ class MetricWeights:
     @classmethod
     def equal(cls):
         return cls(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-
-
-@dataclass
-class ConfidenceReport:
-    predicted_label: int
-    runner_up: int
-    c_a: float
-    c_b: float
-    c_c: float
-    combined: float
-
-
-def top_two(dist):
-    """Indices of the two largest entries; ties go to the lower index."""
-    dist = np.asarray(dist)
-    if dist.shape[0] < 2:
-        raise DataError("top_two needs at least two classes")
-    order = np.argsort(-dist, kind="stable")
-    return int(order[0]), int(order[1])
-
-
-def metric_ca(dist) -> float:
-    """The winning posterior probability."""
-    return float(np.max(dist))
-
-
-def metric_cb(dist) -> float:
-    """Margin between the winning and runner-up probabilities."""
-    y1, y2 = top_two(dist)
-    return float(dist[y1] - dist[y2])
-
-
-def metric_cc(dist, prototypes) -> float:
-    """Euclidean distance from the predicted class's prototype distribution."""
-    y1, _ = top_two(dist)
-    proto = prototypes.get(y1)
-    return float(np.linalg.norm(np.asarray(dist) - proto))
 
 
 def build_prototypes(model, labelled) -> PrototypeTable:
@@ -149,27 +109,25 @@ class BlockScores:
         )
 
 
-def score_block(model, prototypes, plan, samples, seed, population_std=True):
-    """Ensemble-select a distribution per sample and compute the raw metrics.
+def block_metrics(dist, prototypes, ids) -> BlockScores:
+    """The raw metrics of chosen distributions, one (C,) row per sample.
 
-    Returns BlockScores in the order of ``samples``. Each sample's result
-    depends only on the sample and (seed, sample id), not on the block.
+    ``y1`` and ``y2`` are the two most probable classes (ties go to the
+    lower index); ``c_a`` is the winning probability, ``c_b`` its margin
+    over the runner-up and ``c_c`` the Euclidean distance from the
+    prototype of ``y1``.
     """
-    chosen = select_distribution(
-        ensemble_posteriors(model, plan, samples, seed), population_std=population_std
-    )
-    dist = chosen.distribution
     order = np.argsort(-dist, axis=1, kind="stable")
     y1, y2 = order[:, 0], order[:, 1]
     rows = np.arange(len(dist))
     c_a = dist[rows, y1]
     scorable = prototypes.counts[y1] > 0
     diff = dist - prototypes.table[y1]
-    # a stacked (1, C) @ (C, 1) product takes the same dot product as
-    # np.linalg.norm does on one row, so block and one-sample distances agree
+    # one stacked (1, C) @ (C, 1) dot product per row, so a row's distance
+    # does not depend on the rest of the block
     c_c = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
     return BlockScores(
-        ids=samples.ids,
+        ids=ids,
         y1=y1,
         y2=y2,
         c_a=c_a,
@@ -179,42 +137,25 @@ def score_block(model, prototypes, plan, samples, seed, population_std=True):
     )
 
 
-def metrics_for_sample(
-    model, prototypes, plan, sample, seed, population_std=True
-):
-    """Ensemble-select a distribution and compute the three raw metrics.
+def score_block(model, prototypes, plan, samples, seed, population_std=True):
+    """Ensemble-select a distribution per sample and compute the raw metrics.
 
-    ``sample`` is a one-row set. Returns (y1, y2, c_a, c_b, c_c). Raises
-    MissingPrototypeError when the predicted class has no prototype; callers
-    skip such samples.
+    Returns BlockScores in the order of ``samples``. Each sample's result
+    depends only on the sample and (seed, sample id), not on the block.
     """
-    s = score_block(
-        model, prototypes, plan, sample, seed, population_std=population_std
+    chosen = select_distribution(
+        ensemble_posteriors(model, plan, samples, seed), population_std=population_std
     )
+    return block_metrics(chosen.distribution, prototypes, samples.ids)
+
+
+# kept only as a hook for bench/tracing.py until ROADMAP item 1 removes it
+def metrics_for_sample(model, prototypes, plan, sample, seed, population_std=True):
+    """(y1, y2, c_a, c_b, c_c) of a one-row set; MissingPrototypeError if unscorable."""
+    s = score_block(model, prototypes, plan, sample, seed, population_std=population_std)
     if not s.scorable[0]:
         raise MissingPrototypeError(f"no prototype for class {s.y1[0]}")
     return int(s.y1[0]), int(s.y2[0]), float(s.c_a[0]), float(s.c_b[0]), float(s.c_c[0])
-
-
-def score_sample(
-    model,
-    prototypes,
-    plan,
-    sample,
-    weights,
-    mode="bounded",
-    seed=0,
-    population_std=True,
-    epsilon=1e-6,
-) -> ConfidenceReport:
-    """Full confidence pipeline for one sample: ensemble, metrics, combination."""
-    y1, y2, c_a, c_b, c_c = metrics_for_sample(
-        model, prototypes, plan, sample, seed, population_std=population_std
-    )
-    c = combine(c_a, c_b, c_c, weights, mode=mode, epsilon=epsilon)
-    return ConfidenceReport(
-        predicted_label=y1, runner_up=y2, c_a=c_a, c_b=c_b, c_c=c_c, combined=float(c)
-    )
 
 
 def weights_from_scored(c_a, c_b, c_c, correct) -> MetricWeights:
@@ -246,24 +187,3 @@ def weights_from_scored(c_a, c_b, c_c, correct) -> MetricWeights:
     if total <= 0:
         return MetricWeights.equal()
     return MetricWeights(*(accs / total))
-
-
-def calibrate_weights(
-    model, prototypes, plan, calibration, seed, population_std=True
-) -> MetricWeights:
-    """Score labelled calibration samples and weight the metrics by accuracy."""
-    if not calibration:
-        raise DataError("cannot calibrate weights on an empty set")
-    labels = calibration.label
-    if (labels < 0).any():
-        sid = calibration.ids[np.argmax(labels < 0)]
-        raise DataError(f"calibration sample {sid} has no label")
-    scores = score_block(
-        model, prototypes, plan, calibration, seed, population_std=population_std
-    )
-    ok = scores.scorable
-    if not ok.any():
-        raise DataError("no calibration sample could be scored")
-    return weights_from_scored(
-        scores.c_a[ok], scores.c_b[ok], scores.c_c[ok], scores.y1[ok] == labels[ok]
-    )

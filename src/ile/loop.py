@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,8 +52,9 @@ class IterationRecord:
 
     Sizes are those of D_l and D_u when the pool is scored, that is after
     re-scoring mode has returned earlier pseudo-labels to the pool.
-    ``stage_s`` maps each of STAGES to its wall-clock seconds; like
-    ``wall_time`` it goes to metrics.csv, never to report.json.
+    ``stage_s`` maps each of STAGES to its wall-clock seconds. The fields
+    marked as timing go to metrics.csv only; every other field goes to
+    both metrics.csv and report.json.
     """
 
     iteration: int
@@ -64,8 +65,14 @@ class IterationRecord:
     cumulative_addition_accuracy: float | None
     val_error: float | None
     threshold: float
-    wall_time: float
-    stage_s: dict = field(default_factory=dict)
+    wall_time: float = field(metadata={"timing": True})
+    stage_s: dict = field(default_factory=dict, metadata={"timing": True})
+
+
+# the deterministic fields of the run log, in order
+RECORD_FIELDS = tuple(
+    f.name for f in fields(IterationRecord) if not f.metadata.get("timing")
+)
 
 
 @dataclass
@@ -314,15 +321,14 @@ def run_single(cfg, samples, base_seed) -> RunReport:
     )
 
 
-def run(cfg, base_seed=None, workers=1, output_dir=None) -> dict:
+def run(cfg, base_seed=None, output_dir=None) -> dict:
     """Benchmark plus iterative loop, repeated per config; writes artifacts.
 
     Returns the report payload that is also written to ``report.json``.
     ``base_seed`` overrides ``cfg.seed``; ``output_dir`` overrides the
     config's output directory without entering the report snapshot, so two
     runs of the same config into different directories are byte-identical.
-    Repeats run one after another in this process; ``workers`` is accepted
-    for compatibility and does not change the work or the results.
+    Repeats run one after another in this process.
     """
     cfg.validate()
     if base_seed is not None:
@@ -353,17 +359,8 @@ def _json_float(x):
 
 
 def _record_to_dict(r):
-    # wall_time deliberately stays out: report.json must be bit-reproducible
-    return {
-        "iteration": r.iteration,
-        "dl_size": r.dl_size,
-        "du_size": r.du_size,
-        "added_count": r.added_count,
-        "addition_accuracy": r.addition_accuracy,
-        "cumulative_addition_accuracy": r.cumulative_addition_accuracy,
-        "val_error": r.val_error,
-        "threshold": _json_float(r.threshold),
-    }
+    # timing fields stay out: report.json must be bit-reproducible
+    return {name: _json_float(getattr(r, name)) for name in RECORD_FIELDS}
 
 
 def _report_to_dict(rep):
@@ -417,17 +414,20 @@ def build_payload(cfg, reports) -> dict:
 
 _CSV_COLUMNS = [
     "repeat",
-    "iteration",
-    "dl_size",
-    "du_size",
-    "added_count",
-    "addition_accuracy",
-    "cumulative_addition_accuracy",
-    "val_error",
-    "threshold",
+    *RECORD_FIELDS,
     "wall_time",
     *(f"{stage}_s" for stage in STAGES),
 ]
+
+
+def _csv_row(repeat, r):
+    values = (getattr(r, name) for name in RECORD_FIELDS)
+    return [
+        repeat,
+        *("" if v is None else repr(v) for v in values),
+        repr(r.wall_time),
+        *(repr(r.stage_s[stage]) if stage in r.stage_s else "" for stage in STAGES),
+    ]
 
 
 def write_artifacts(out_dir, payload, reports):
@@ -440,25 +440,5 @@ def write_artifacts(out_dir, payload, reports):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
         for k, rep in enumerate(reports):
-            for r in rep.iterations:
-                writer.writerow(
-                    [
-                        k,
-                        r.iteration,
-                        r.dl_size,
-                        r.du_size,
-                        r.added_count,
-                        "" if r.addition_accuracy is None else repr(r.addition_accuracy),
-                        ""
-                        if r.cumulative_addition_accuracy is None
-                        else repr(r.cumulative_addition_accuracy),
-                        "" if r.val_error is None else repr(r.val_error),
-                        repr(r.threshold),
-                        repr(r.wall_time),
-                        *(
-                            repr(r.stage_s[stage]) if stage in r.stage_s else ""
-                            for stage in STAGES
-                        ),
-                    ]
-                )
+            writer.writerows(_csv_row(k, r) for r in rep.iterations)
     log.info("wrote %s and %s", out / "report.json", out / "metrics.csv")

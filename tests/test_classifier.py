@@ -20,7 +20,6 @@ from ile.classifier import (
     fit,
     init_model,
     loss_and_grad,
-    predict_proba,
     predict_proba_batch,
     softmax,
 )
@@ -90,7 +89,7 @@ def test_softmax_shift_invariance():
 
 def test_zero_parameters_give_uniform_posterior():
     m = logit_model(scale=0.0, C=4)
-    p = predict_proba(m, np.array([3.0, -1.0, 0.5, 2.0]))
+    p = predict_proba_batch(m, np.array([[3.0, -1.0, 0.5, 2.0]]))[0]
     np.testing.assert_allclose(p, 0.25, atol=1e-12)
 
 
@@ -160,7 +159,7 @@ def test_far_inside_sample_predicts_its_class(separable_model, separable_samples
     center = np.mean(
         separable_samples.X[separable_samples.true_label == 1], axis=0
     )
-    p = predict_proba(separable_model, center)
+    p = predict_proba_batch(separable_model, center[None])[0]
     assert int(np.argmax(p)) == 1
     assert p[1] > 0.99
 
@@ -297,10 +296,10 @@ def test_early_stopping_keeps_the_best_epoch(separable_samples, small_triple):
 def test_predict_requires_training_and_right_shape():
     model = init_model(SOFTMAX_REGRESSION, d=2, C=2, seed=0)
     with pytest.raises(StateError):
-        predict_proba(model, np.zeros(2))
+        predict_proba_batch(model, np.zeros((1, 2)))
     trained = logit_model()
     with pytest.raises(DataError):
-        predict_proba(trained, np.zeros(3))
+        predict_proba_batch(trained, np.zeros(2))  # one vector, not a (1, d) batch
     with pytest.raises(DataError):
         predict_proba_batch(trained, np.zeros((4, 3)))
 

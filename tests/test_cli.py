@@ -85,7 +85,8 @@ def test_run_exit_codes(tmp_path):
 
     cfg = config_file(tmp_path)
     assert run_cli("run", "--config", cfg) == 1  # no output dir anywhere
-    assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "0") == 1
+    # runs are serial; there is no worker-count flag
+    assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "2") == 1
 
     wrong_type = config_file(tmp_path, loop={"rescore_admitted": "false"})
     assert run_cli("run", "--config", wrong_type, "--out", str(tmp_path / "o")) == 1
@@ -236,7 +237,7 @@ def test_report_prints_improvement_in_points(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "20.00%" in out
     assert "5.00%" in out
-    assert "-15.00" in out
+    assert "+15.00" in out  # positive: the error fell
     assert "500" in out
     assert "99.00%" in out
 
@@ -287,17 +288,27 @@ def test_report_summarizes_repeats(tmp_path, capsys):
     assert run_cli("report", run_dir) == 0
     out = capsys.readouterr().out
     assert "25.00% (±5.00)" in out
+    assert "(improvement +15.00 points)" in out
     assert "repeats         : 2" in out
     error_lines = (tmp_path / "run" / "curve_error.tsv").read_text().strip().split("\n")
     assert error_lines[0] == "iteration\tval_error_r0\tval_error_r1"
 
 
-def test_report_data_errors(tmp_path):
+def test_report_data_errors(tmp_path, capsys):
     assert run_cli("report", str(tmp_path / "nowhere")) == 2
     bad_dir = tmp_path / "bad"
     bad_dir.mkdir()
     (bad_dir / "report.json").write_text("{broken")
     assert run_cli("report", str(bad_dir)) == 2
+    no_iterations = single_payload(0.2, 0.1, [])
+    del no_iterations["iterations"]
+    for payload in ({}, [1], no_iterations):
+        (bad_dir / "report.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("report", str(bad_dir)) == 2
+        captured = capsys.readouterr()
+        assert "is not an ile report" in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize(

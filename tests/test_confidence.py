@@ -14,22 +14,17 @@ from ile.classifier import (
     SOFTMAX_REGRESSION,
     ModelState,
     init_model,
-    predict_proba,
+    predict_proba_batch,
 )
 from ile.confidence import (
     MetricWeights,
     MissingPrototypeError,
     PrototypeTable,
+    block_metrics,
     build_prototypes,
-    calibrate_weights,
     combine,
-    metric_ca,
-    metric_cb,
-    metric_cc,
     metrics_for_sample,
     score_block,
-    score_sample,
-    top_two,
     weights_from_scored,
 )
 from ile.ensemble import ensemble_predict, select_distribution
@@ -50,46 +45,54 @@ def proto_table(rows, counts=None):
     return PrototypeTable(table=table, counts=np.asarray(counts))
 
 
+def metrics(rows, table=None):
+    """``block_metrics`` of hand-written distributions, one per row.
+
+    Without a table every class gets the uniform prototype.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if table is None:
+        C = rows.shape[1]
+        table = proto_table(np.full((C, C), 1.0 / C))
+    return block_metrics(rows, table, np.arange(len(rows)))
+
+
 # ---------------------------------------------------------------------------
 # Individual metrics
 # ---------------------------------------------------------------------------
 
 def test_top_two_ordering_and_ties():
-    assert top_two([0.5, 0.3, 0.2]) == (0, 1)
-    assert top_two([0.4, 0.4, 0.2]) == (0, 1)
-    assert top_two([1 / 3, 1 / 3, 1 / 3]) == (0, 1)
-    assert top_two([0.1, 0.2, 0.7]) == (2, 1)
-    with pytest.raises(DataError):
-        top_two([1.0])
+    s = metrics([[0.5, 0.3, 0.2], [0.4, 0.4, 0.2], [1 / 3, 1 / 3, 1 / 3], [0.1, 0.2, 0.7]])
+    assert list(zip(s.y1.tolist(), s.y2.tolist())) == [(0, 1), (0, 1), (0, 1), (2, 1)]
 
 
 def test_metric_ca_values():
-    assert metric_ca([0.7, 0.2, 0.1]) == 0.7
-    assert metric_ca([1.0, 0.0]) == 1.0
-    assert metric_ca([0.25, 0.25, 0.25, 0.25]) == 0.25
+    assert metrics([[0.7, 0.2, 0.1]]).c_a[0] == 0.7
+    assert metrics([[1.0, 0.0]]).c_a[0] == 1.0
+    assert metrics([[0.25, 0.25, 0.25, 0.25]]).c_a[0] == 0.25
 
 
 def test_metric_cb_values():
-    assert metric_cb([0.7, 0.2, 0.1]) == pytest.approx(0.5)
-    assert metric_cb([0.25, 0.25, 0.25, 0.25]) == 0.0
-    assert metric_cb([1.0, 0.0]) == 1.0
+    assert metrics([[0.7, 0.2, 0.1]]).c_b[0] == pytest.approx(0.5)
+    assert metrics([[0.25, 0.25, 0.25, 0.25]]).c_b[0] == 0.0
+    assert metrics([[1.0, 0.0]]).c_b[0] == 1.0
 
 
 def test_metric_cc_values():
     table = proto_table([[0.6, 0.4], [0.1, 0.9]])
-    assert metric_cc([0.8, 0.2], table) == pytest.approx(CC_EXAMPLE, abs=1e-12)
-    assert metric_cc([0.6, 0.4], table) == 0.0
+    c_c = metrics([[0.8, 0.2], [0.6, 0.4]], table).c_c
+    assert c_c[0] == pytest.approx(CC_EXAMPLE, abs=1e-12)
+    assert c_c[1] == 0.0
     one_hot = proto_table([[0.0, 1.0], [0.5, 0.5]])
-    assert metric_cc([1.0, 0.0], one_hot) == pytest.approx(math.sqrt(2), abs=1e-12)
+    assert metrics([[1.0, 0.0]], one_hot).c_c[0] == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
 def test_metric_cc_requires_a_prototype():
     table = proto_table([[0.6, 0.4], [0.0, 0.0]], counts=[1, 0])
-    with pytest.raises(MissingPrototypeError):
-        metric_cc([0.2, 0.8], table)
-    assert table.present(0)
-    assert not table.present(1)
-    assert not table.present(7)
+    s = metrics([[0.8, 0.2], [0.2, 0.8]], table)
+    np.testing.assert_array_equal(s.scorable, [True, False])
+    assert np.isfinite(s.c_c[0])
+    assert np.isnan(s.c_c[1])
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +119,8 @@ def test_prototype_is_the_mean_posterior():
     np.testing.assert_allclose(table.table[0], [0.7, 0.3], atol=1e-12)
     assert table.counts[0] == 2
     assert table.counts[1] == 0
-    assert not table.present(1)
-    with pytest.raises(MissingPrototypeError):
-        table.get(1)
+    # a sample predicted as class 1 has no prototype to be compared with
+    assert not metrics([[0.3, 0.7]], table).scorable[0]
 
 
 def test_build_prototypes_rejects_empty():
@@ -194,19 +196,13 @@ def test_perfectly_confident_sample_scores_the_weight_sum():
     # logits (40, -40) saturate the softmax to a one-hot in float64
     s = make_sample(0, [40.0, -40.0], 0)
     table = build_prototypes(model, s)
-    report = score_sample(
-        model,
-        table,
-        AugmentationPlan.identity_only(),
-        s,
-        MetricWeights(0.2, 0.3, 0.5),
-        seed=0,
-    )
-    assert report.predicted_label == 0
-    assert report.c_a == 1.0
-    assert report.c_b == 1.0
-    assert report.c_c == 0.0
-    assert report.combined == pytest.approx(1.0, abs=1e-12)
+    block = score_block(model, table, AugmentationPlan.identity_only(), s, seed=0)
+    combined = combine(block.c_a, block.c_b, block.c_c, MetricWeights(0.2, 0.3, 0.5))
+    assert block.y1[0] == 0
+    assert block.c_a[0] == 1.0
+    assert block.c_b[0] == 1.0
+    assert block.c_c[0] == 0.0
+    assert combined[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_metric_ranges_hold_on_fuzzed_distributions():
@@ -216,9 +212,8 @@ def test_metric_ranges_hold_on_fuzzed_distributions():
         dist = rng.dirichlet(np.full(C, rng.uniform(0.2, 3.0)))
         proto = rng.dirichlet(np.ones(C), size=C)
         table = proto_table(proto)
-        c_a = metric_ca(dist)
-        c_b = metric_cb(dist)
-        c_c = metric_cc(dist, table)
+        s = metrics([dist], table)
+        c_a, c_b, c_c = s.c_a[0], s.c_b[0], s.c_c[0]
         assert 1.0 / C - 1e-12 <= c_a <= 1.0 + 1e-12
         assert -1e-12 <= c_b <= c_a + 1e-12
         assert -1e-12 <= c_c <= math.sqrt(2) + 1e-12
@@ -280,9 +275,8 @@ def test_score_sample_matches_straight_line_oracle():
         mode = "bounded" if trial % 2 == 0 else "reciprocal"
         seed = int(rng.integers(0, 1 << 30))
 
-        got = score_sample(
-            model, table, plan, sample, weights, mode=mode, seed=seed
-        )
+        got = score_block(model, table, plan, sample, seed)
+        combined = combine(got.c_a, got.c_b, got.c_c, weights, mode=mode)
         vectors = [
             sample.X[0] + seeded_rng(seed, int(sample.ids[0]), i).normal(0.0, t.sigma, d)
             if isinstance(t, GaussianJitter)
@@ -292,13 +286,13 @@ def test_score_sample_matches_straight_line_oracle():
         y1, y2, c_a, c_b, c_c, c = oracle_score(
             model, table, [v.tolist() for v in vectors], weights, mode, 1e-6
         )
-        assert got.predicted_label == y1
-        assert got.runner_up == y2
+        assert got.y1[0] == y1
+        assert got.y2[0] == y2
         for a, b in [
-            (got.c_a, c_a),
-            (got.c_b, c_b),
-            (got.c_c, c_c),
-            (got.combined, c),
+            (got.c_a[0], c_a),
+            (got.c_b[0], c_b),
+            (got.c_c[0], c_c),
+            (combined[0], c),
         ]:
             worst = max(worst, abs(a - b))
     assert worst <= 1e-9
@@ -309,10 +303,13 @@ def test_score_sample_raises_without_prototype():
     model = logit_model(scale=10.0)
     s = make_sample(0, [5.0, -5.0], 0)  # predicted class 0
     table = proto_table([[0.0, 0.0], [0.5, 0.5]], counts=[0, 1])
+    plan = AugmentationPlan.identity_only()
+    block = score_block(model, table, plan, s, seed=0)
+    assert block.y1[0] == 0
+    assert not block.scorable[0]
+    assert np.isnan(block.c_c[0])
     with pytest.raises(MissingPrototypeError):
-        score_sample(
-            model, table, AugmentationPlan.identity_only(), s, MetricWeights.equal()
-        )
+        metrics_for_sample(model, table, plan, s, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +352,15 @@ def test_all_wrong_falls_back_to_equal_weights():
         weights_from_scored([], [], [], [])
 
 
+def calibrated_weights(model, table, labelled):
+    """Weights from the scorable rows of one identity-only block, as the loop does."""
+    s = score_block(model, table, AugmentationPlan.identity_only(), labelled, seed=0)
+    ok = s.scorable
+    return weights_from_scored(
+        s.c_a[ok], s.c_b[ok], s.c_c[ok], (s.y1 == labelled.label)[ok]
+    )
+
+
 def test_calibrate_weights_end_to_end():
     model = logit_model()
     labelled = samples_of(
@@ -363,10 +369,7 @@ def test_calibrate_weights_end_to_end():
         make_sample(2, np.log([0.2, 0.8]), 1),
         make_sample(3, np.log([0.35, 0.65]), 1),
     )
-    table = build_prototypes(model, labelled)
-    w = calibrate_weights(
-        model, table, AugmentationPlan.identity_only(), labelled, seed=0
-    )
+    w = calibrated_weights(model, build_prototypes(model, labelled), labelled)
     # every sample is classified correctly, so all metrics tie
     assert (w.w_a, w.w_b, w.w_c) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
@@ -376,16 +379,12 @@ def test_calibrate_weights_skips_unscorable_samples():
     table = proto_table([[0.9, 0.1], [0.0, 0.0]], counts=[1, 0])
     ok = make_sample(0, [5.0, -5.0], 0)  # predicted 0, has a prototype
     orphan = make_sample(1, [-5.0, 5.0], 1)  # predicted 1, prototype missing
-    w = calibrate_weights(
-        model, table, AugmentationPlan.identity_only(), samples_of(ok, orphan), seed=0
-    )
+    w = calibrated_weights(model, table, samples_of(ok, orphan))
     assert (w.w_a, w.w_b, w.w_c) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
     with pytest.raises(DataError):
-        calibrate_weights(
-            model, table, AugmentationPlan.identity_only(), orphan, seed=0
-        )
+        calibrated_weights(model, table, orphan)
     with pytest.raises(DataError):
-        calibrate_weights(model, table, AugmentationPlan.identity_only(), ok[:0], seed=0)
+        calibrated_weights(model, table, ok[:0])
 
 
 # ---------------------------------------------------------------------------
@@ -418,25 +417,40 @@ def one_sample_vectors(sample, plan, seed):
     return out
 
 
-def oracle_block_row(model, table, plan, sample, seed):
-    """Per-sample reference scores from the one-sample building blocks.
+def oracle_metrics(dist, table):
+    """The two top classes and three metrics of one distribution, one by one.
 
-    Each augmented copy goes through ``predict_proba`` alone; selection,
-    labels and metrics come from ``select_distribution`` on that sample's
-    own (A, C) matrix and from ``top_two`` / ``metric_*``. Returns None when
+    Ties go to the lower class index; ``c_c`` is None when the predicted
+    class has no prototype.
+    """
+    dist = [float(p) for p in dist]
+    y1, y2 = sorted(range(len(dist)), key=lambda c: (-dist[c], c))[:2]
+    c_c = None
+    if table.counts[y1] > 0:
+        c_c = float(np.linalg.norm(np.array(dist) - table.table[y1]))
+    return y1, y2, dist[y1], dist[y1] - dist[y2], c_c
+
+
+def oracle_block_row(model, table, plan, sample, seed):
+    """Per-sample reference scores, one augmented copy at a time.
+
+    Each augmented copy goes through the model alone, as a one-row batch;
+    selection comes from ``select_distribution`` on that sample's own
+    (A, C) matrix and the metrics from ``oracle_metrics``. Returns None when
     two rows of the ensemble tie within rounding, as either may then win.
     """
     z = np.array(
-        [predict_proba(model, v) for v in one_sample_vectors(sample, plan, seed)]
+        [
+            predict_proba_batch(model, np.array(v)[None])[0]
+            for v in one_sample_vectors(sample, plan, seed)
+        ]
     )
     chosen = select_distribution(z)
     row_best = np.sort((z - chosen.sigma).max(axis=1))[::-1]
     if len(row_best) > 1 and row_best[0] - row_best[1] <= 1e-9:
         return None
     dist = chosen.distribution
-    y1, y2 = top_two(dist)
-    c_c = metric_cc(dist, table) if table.present(y1) else None
-    return dist, y1, y2, metric_ca(dist), metric_cb(dist), c_c
+    return (dist, *oracle_metrics(dist, table))
 
 
 @settings(max_examples=60, deadline=None)

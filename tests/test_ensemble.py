@@ -4,8 +4,8 @@ import time
 import numpy as np
 
 from ile.augment import AugmentationPlan, GaussianJitter, Identity
-from ile.classifier import predict_proba
-from ile.ensemble import ensemble_predict, select_distribution
+from ile.classifier import predict_proba_batch
+from ile.ensemble import ensemble_posteriors, select_distribution
 
 from conftest import logit_model, make_sample
 
@@ -119,13 +119,18 @@ def test_chosen_distribution_is_an_unscaled_input_row():
         assert np.all(result.sigma >= 0)
 
 
+def ensemble_of(model, plan, sample, seed):
+    """The selection for a one-row set, from its (A, C) posterior matrix."""
+    return select_distribution(ensemble_posteriors(model, plan, sample, seed)[0])
+
+
 def test_identical_augmentations_reproduce_plain_prediction():
     model = logit_model(scale=2.0, C=2)
     sample = make_sample(3, [0.4, -0.2])
     plan = AugmentationPlan.from_transforms([Identity(), GaussianJitter(0.0)])
-    result = ensemble_predict(model, plan, sample, seed=0)
+    result = ensemble_of(model, plan, sample, seed=0)
     np.testing.assert_array_equal(
-        result.distribution, predict_proba(model, sample.X[0])
+        result.distribution, predict_proba_batch(model, sample.X)[0]
     )
     np.testing.assert_array_equal(result.sigma, [0.0, 0.0])
 
@@ -134,8 +139,8 @@ def test_ensemble_predict_uses_per_sample_streams():
     model = logit_model(scale=1.0, C=2)
     plan = AugmentationPlan.from_transforms([Identity(), GaussianJitter(0.5)])
     s = make_sample(11, [0.2, 0.1])
-    a = ensemble_predict(model, plan, s, seed=1)
-    b = ensemble_predict(model, plan, s, seed=1)
+    a = ensemble_of(model, plan, s, seed=1)
+    b = ensemble_of(model, plan, s, seed=1)
     np.testing.assert_array_equal(a.distribution, b.distribution)
-    c = ensemble_predict(model, plan, s, seed=2)
+    c = ensemble_of(model, plan, s, seed=2)
     assert not np.array_equal(a.sigma, c.sigma)

@@ -369,17 +369,6 @@ def test_run_requires_an_output_directory():
         run(small_cfg())
 
 
-def test_run_worker_fanout_matches_serial(tmp_path):
-    # runs are serial; a worker count must change nothing in the report
-    cfg = small_cfg(loop=LoopSpec(max_iterations=2))
-    serial = run(cfg, output_dir=str(tmp_path / "serial"))
-    fanned = run(cfg, workers=4, output_dir=str(tmp_path / "fanned"))
-    assert serial == fanned
-    a = (tmp_path / "serial" / "report.json").read_bytes()
-    b = (tmp_path / "fanned" / "report.json").read_bytes()
-    assert a == b
-
-
 def test_repeats_produce_summary_statistics(tmp_path):
     cfg = small_cfg(loop=LoopSpec(max_iterations=2, repeat_count=3))
     payload = run(cfg, output_dir=str(tmp_path / "rep"))
