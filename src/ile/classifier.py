@@ -44,7 +44,6 @@ class ModelState:
     C: int
     hidden_units: int  # 0 for softmax regression
     params: dict
-    init_seed: int
     trained: bool = False
 
 
@@ -84,7 +83,6 @@ def init_model(architecture, d, C, seed, hidden_units=None) -> ModelState:
         C=C,
         hidden_units=hidden_units,
         params=params,
-        init_seed=seed,
         trained=False,
     )
 
@@ -145,10 +143,11 @@ def loss_and_grad(params, architecture, X, y, C, l2):
 def fit(model, labelled, config, seed, validation=None) -> ModelState:
     """Train a fresh copy of ``model`` on the labelled samples.
 
-    Deterministic given (model.init_seed, seed). If ``validation`` samples are
-    given and early stopping is configured, training stops once validation
-    error has not improved for ``early_stop_patience`` epochs and the best
-    parameters are kept. Raises TrainingError as soon as an epoch leaves a
+    Deterministic given the starting parameters, the labelled rows in their
+    order, and ``seed``. If ``validation`` samples are given and early
+    stopping is configured, training stops once validation error has not
+    improved for ``early_stop_patience`` epochs and the best parameters are
+    kept. Raises TrainingError as soon as an epoch leaves a
     parameter NaN or infinite; overflow on the way there emits no warning.
 
     Each epoch gathers its permutation of the rows once, so every batch is a

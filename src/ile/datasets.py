@@ -1,9 +1,15 @@
-"""Sample sets, the labelled/unlabelled/validation split, and pseudo-label admissions.
+"""Sample sets, the working table and its validation set, and pseudo-label admissions.
 
 A set of samples is one ``Samples`` struct of parallel arrays. Evaluation
 mode keeps the hidden ground-truth label (``true_label``) on unlabelled
 samples so that the accuracy of admitted pseudo-labels can be reported. The
 training path only ever reads ``label``.
+
+The labelled set D_l and the unlabelled pool D_u are two views of one
+id-ordered working table: a row is in D_u while its ``label`` is UNKNOWN
+and in D_l otherwise. Admitting a row writes its ``label``; releasing it
+resets that label. So the two sets are disjoint and together hold every
+non-validation row by construction, and no step checks it afterwards.
 """
 
 import csv
@@ -64,65 +70,44 @@ class Samples:
             return self
         return self[np.argsort(self.ids, kind="stable")]
 
-    @classmethod
-    def concatenate(cls, parts):
-        """One set holding the rows of every set in ``parts``, in order."""
-        dims = {p.X.shape[1] for p in parts}
-        if len(dims) > 1:
-            raise DataError(f"feature dimension mismatch: {sorted(dims)}")
-        return cls(
-            *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls))
-        )
-
 
 def _first_id(samples, mask):
     return int(samples.ids[np.argmax(mask)])
 
 
-@dataclass
-class DatasetTriple:
-    """The three working sets: labelled, unlabelled and validation.
+def _duplicate_id(ids):
+    """The smallest id that occurs more than once in ``ids``, or None."""
+    ids = np.sort(ids)
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    return int(repeated[0]) if repeated.size else None
 
-    Rows of ``labelled`` are the clean samples in id order followed by each
-    iteration's admissions in id order; the other two sets are in id order.
+
+@dataclass(frozen=True, eq=False)
+class DatasetTriple:
+    """The working table and the validation set.
+
+    ``work`` holds every non-validation row in id order; ``labelled`` (D_l)
+    and ``unlabelled`` (D_u) are built from it on every read, so a caller on
+    a hot path reads each once.
     """
 
-    labelled: Samples
-    unlabelled: Samples
+    work: Samples
     validation: Samples
 
-    def validate(self):
-        """Check the structural invariants; raises DataError on violation."""
-        parts = {
-            "labelled": self.labelled,
-            "unlabelled": self.unlabelled,
-            "validation": self.validation,
-        }
-        ids = np.concatenate([p.ids for p in parts.values()])
-        uniq, counts = np.unique(ids, return_counts=True)
-        if (counts > 1).any():
-            sid = uniq[np.argmax(counts > 1)]
-            where = [n for n, p in parts.items() for _ in range((p.ids == sid).sum())]
-            raise DataError(f"id {sid} appears in both {where[0]} and {where[1]}")
-        for name, p in parts.items():
-            pseudo = p.admitted != 0
-            pool = name == "unlabelled"
-            for bad, problem in (
-                (p.admitted < 0, "has a negative admitting iteration"),
-                (pseudo & (name != "labelled"), "has a pseudo-label"),
-                (p.label != UNKNOWN, "has an assigned label") if pool
-                else (p.label < 0, "has no assigned label"),
-                (
-                    ~pseudo & (p.true_label >= 0) & (p.label >= 0)
-                    & (p.label != p.true_label),
-                    "has a clean label that contradicts its ground truth",
-                ),
-            ):
-                if bad.any():
-                    raise DataError(f"{name} sample {_first_id(p, bad)} {problem}")
+    @property
+    def labelled(self):
+        """D_l: the clean rows by id, then each iteration's admissions by id.
 
-    def total_size(self) -> int:
-        return len(self.labelled) + len(self.unlabelled) + len(self.validation)
+        The order is part of the result: training permutes row positions
+        and the prototypes are row-order sums.
+        """
+        rows = np.flatnonzero(self.work.label != UNKNOWN)
+        return self.work[rows[np.argsort(self.work.admitted[rows], kind="stable")]]
+
+    @property
+    def unlabelled(self):
+        """D_u in id order."""
+        return self.work[self.work.label == UNKNOWN]
 
 
 @dataclass
@@ -150,10 +135,9 @@ def load_table(path, format="csv") -> Samples:
         samples = _load_binary(path)
     else:
         raise DataError(f"unknown table format {format!r}")
-    ids = np.sort(samples.ids)
-    repeated = ids[1:][ids[1:] == ids[:-1]]
-    if repeated.size:
-        raise DataError(f"{path}: duplicate id {repeated[0]}")
+    duplicate = _duplicate_id(samples.ids)
+    if duplicate is not None:
+        raise DataError(f"{path}: duplicate id {duplicate}")
     finite = np.isfinite(samples.X).all(axis=1)
     if not finite.all():
         sid = _first_id(samples, ~finite)
@@ -278,18 +262,28 @@ def save_table(samples, path, format="csv", num_classes=None):
 def split(samples, labelled_per_class, validation_count, seed) -> DatasetTriple:
     """Partition samples into a DatasetTriple.
 
-    The labelled set takes ``labelled_per_class`` samples per class uniformly
-    at random; the validation set is a uniform draw from the remainder; the
-    rest becomes the unlabelled pool with assigned labels stripped (ground
-    truth stays hidden on the samples). Samples without ground truth go
-    straight to the pool. Deterministic in ``seed``; every set comes out in
-    id order.
+    The samples must be clean (no pseudo-labels, every label its ground
+    truth) with distinct ids. The labelled set takes ``labelled_per_class``
+    samples per class uniformly at random; the validation set is a uniform
+    draw from the remainder; the rest becomes the unlabelled pool with
+    assigned labels stripped (ground truth stays hidden on the samples).
+    Samples without ground truth go straight to the pool. Deterministic in
+    ``seed``; the working table and the validation set come out in id order.
     """
     if labelled_per_class < 1:
         raise DataError("labelled_per_class must be >= 1")
     if validation_count < 0:
         raise DataError("validation_count must be >= 0")
+    duplicate = _duplicate_id(samples.ids)
+    if duplicate is not None:
+        raise DataError(f"duplicate id {duplicate}")
     samples = samples.by_id()
+    for bad, rule in (
+        (samples.admitted != 0, "admitted != 0"),
+        (samples.label != samples.true_label, "label != true_label"),
+    ):
+        if bad.any():
+            raise DataError(f"sample {_first_id(samples, bad)} is not clean: {rule}")
     known = samples.true_label != UNKNOWN
     if not known.any():
         raise DataError("no sample has a ground-truth label; cannot split")
@@ -316,55 +310,52 @@ def split(samples, labelled_per_class, validation_count, seed) -> DatasetTriple:
     order = rng(seed, "split-validation").permutation(len(remainder))
     validation[remainder[order[:validation_count]]] = True
 
-    pool = samples[~labelled & ~validation]
-    triple = DatasetTriple(
-        samples[labelled],
-        replace(pool, label=np.full_like(pool.ids, UNKNOWN)),
-        samples[validation],
-    )
-    triple.validate()
-    return triple
+    work = samples[~validation]
+    pool_label = np.where(labelled[~validation], work.label, UNKNOWN)
+    return DatasetTriple(replace(work, label=pool_label), samples[validation])
 
 
 def admit(triple, ids, labels, iteration):
     """Move the pool samples ``ids`` to labelled with pseudo-labels ``labels``.
 
-    Returns a new DatasetTriple plus the AdmissionRecord; the input triple is
-    not mutated. The admitted rows join the end of the labelled set in pool
-    (id) order. Total sample count is conserved.
+    Returns a new DatasetTriple plus the AdmissionRecord. The new working
+    table gets fresh ``label`` and ``admitted`` columns and shares every
+    other array, so the input triple is not mutated. In the labelled view
+    the admitted rows follow every earlier row, in id order.
     """
+    if iteration < 1:
+        raise DataError(f"admitting iteration {iteration} < 1")
     ids = np.asarray(ids, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if not ids.size:
         return triple, AdmissionRecord(admitted_ids=ids)
     order = np.argsort(ids, kind="stable")
     ids, labels = ids[order], labels[order]
-    if (ids[1:] == ids[:-1]).any():
-        raise DataError(f"id {ids[1:][ids[1:] == ids[:-1]][0]} admitted twice")
-    pool = triple.unlabelled
-    outside = ~np.isin(ids, pool.ids)
+    duplicate = _duplicate_id(ids)
+    if duplicate is not None:
+        raise DataError(f"id {duplicate} admitted twice")
+    if (labels < 0).any():
+        raise DataError(f"id {ids[np.argmax(labels < 0)]} admitted without a label")
+    work = triple.work
+    outside = ~np.isin(ids, work.ids[work.label == UNKNOWN])
     if outside.any():
         raise DataError(f"id {ids[np.argmax(outside)]} is not in the unlabelled pool")
 
-    chosen = np.isin(pool.ids, ids)
-    moved = pool[chosen]
-    moved = replace(
-        moved,
-        label=labels[np.searchsorted(ids, moved.ids)],
-        admitted=np.full_like(moved.ids, iteration),
-    )
-    new_triple = DatasetTriple(
-        Samples.concatenate([triple.labelled, moved]), pool[~chosen], triple.validation
-    )
-    return new_triple, AdmissionRecord(moved.ids, label_accuracy(moved))
+    rows = np.searchsorted(work.ids, ids)
+    label, admitted = work.label.copy(), work.admitted.copy()
+    label[rows] = labels
+    admitted[rows] = iteration
+    new_work = replace(work, label=label, admitted=admitted)
+    accuracy = label_accuracy(labels, work.true_label[rows])
+    return DatasetTriple(new_work, triple.validation), AdmissionRecord(ids, accuracy)
 
 
-def label_accuracy(samples):
-    """Share of the samples with ground truth whose label matches it.
+def label_accuracy(label, true_label):
+    """Share of the rows with ground truth whose label matches it.
 
-    None when no sample has ground truth.
+    None when no row has ground truth.
     """
-    right = (samples.label == samples.true_label)[samples.true_label != UNKNOWN]
+    right = (label == true_label)[true_label != UNKNOWN]
     return int(right.sum()) / len(right) if len(right) else None
 
 
@@ -374,12 +365,11 @@ def release_pseudo(triple):
     Used by the re-scoring mode in which admissions are reconsidered every
     iteration instead of being permanent.
     """
-    pseudo = triple.labelled.admitted != 0
-    released = triple.labelled[pseudo]
+    work = triple.work
+    pseudo = work.admitted != 0
     released = replace(
-        released,
-        label=np.full_like(released.ids, UNKNOWN),
-        admitted=np.zeros_like(released.ids),
+        work,
+        label=np.where(pseudo, UNKNOWN, work.label),
+        admitted=np.zeros_like(work.admitted),
     )
-    unlabelled = Samples.concatenate([triple.unlabelled, released]).by_id()
-    return DatasetTriple(triple.labelled[~pseudo], unlabelled, triple.validation)
+    return DatasetTriple(released, triple.validation)

@@ -4,11 +4,12 @@ Each iteration re-initializes the model from a derived seed, trains it on the
 current labelled set, rebuilds the class prototypes, learns the admission
 threshold on training-data confidences, scores the whole unlabelled pool with
 the augmentation ensemble plus confidence metrics, and admits every sample
-that clears the threshold. Scoring runs block-wise: SCORE_BLOCK samples at
-a time go through one forward pass as arrays. The labelled-only benchmark
-that improvement is measured against is the first iteration's model: with
-the same seeds and data, a separate benchmark fit would be the identical
-computation.
+that clears the threshold. The labelled set and the pool are views of one
+working table (see ``datasets``); an iteration builds each view once.
+Scoring runs block-wise: SCORE_BLOCK samples at a time go through one
+forward pass as arrays. The labelled-only benchmark that improvement is
+measured against is the first iteration's model: with the same seeds and
+data, a separate benchmark fit would be the identical computation.
 """
 
 import csv
@@ -77,7 +78,6 @@ RECORD_FIELDS = tuple(
 
 @dataclass
 class RunReport:
-    config: dict
     iterations: list
     benchmark_val_error: float | None
     final_val_error: float | None
@@ -88,8 +88,6 @@ class RunReport:
 class LoopState:
     config: RunConfig
     triple: DatasetTriple
-    d: int
-    C: int
     frozen_threshold: float | None = None
 
 
@@ -123,24 +121,28 @@ class _StageClock:
 SCORE_BLOCK = 256
 
 
-def _train(cfg, triple, d, C, base_seed, iteration_index):
-    """Fresh model trained on D_l with the iteration's seeds; (model, val_error)."""
+def _train(cfg, labelled, validation, base_seed, iteration_index):
+    """Fresh model trained on D_l with the iteration's seeds; (model, val_error).
+
+    D_l holds clean rows of every class with ground truth, so its largest
+    label fixes the number of classes.
+    """
     model = init_model(
         cfg.classifier.architecture,
-        d,
-        C,
+        labelled.X.shape[1],
+        int(labelled.label.max()) + 1,
         seed=derive_seed(base_seed, iteration_index, "init"),
         hidden_units=cfg.classifier.hidden_units,
     )
     early_stop = cfg.classifier.train.early_stop_patience is not None
     model = fit(
         model,
-        triple.labelled,
+        labelled,
         cfg.classifier.train,
         seed=derive_seed(base_seed, iteration_index, "fit"),
-        validation=triple.validation if (early_stop and triple.validation) else None,
+        validation=validation if (early_stop and validation) else None,
     )
-    val_error = evaluate(model, triple.validation) if triple.validation else None
+    val_error = evaluate(model, validation) if validation else None
     return model, val_error
 
 
@@ -176,14 +178,17 @@ def run_iteration(state, iteration_index, base_seed):
     cfg = state.config
     clock = _StageClock()
     triple = state.triple
+    labelled = triple.labelled
 
-    model, val_error = _train(cfg, triple, state.d, state.C, base_seed, iteration_index)
+    model, val_error = _train(
+        cfg, labelled, triple.validation, base_seed, iteration_index
+    )
     clock.lap("fit")
-    prototypes = build_prototypes(model, triple.labelled)
+    prototypes = build_prototypes(model, labelled)
     clock.lap("prototypes")
     score_seed = derive_seed(base_seed, iteration_index, "score")
 
-    train, labels = _score(triple.labelled, model, prototypes, cfg, score_seed)
+    train, labels = _score(labelled, model, prototypes, cfg, score_seed)
     correct = (train.y1 == labels)[train.scorable]
     train = train[train.scorable]
     if not train.ids.size:
@@ -212,18 +217,19 @@ def run_iteration(state, iteration_index, base_seed):
 
     if cfg.loop.rescore_admitted:
         triple = release_pseudo(triple)
-    dl_size = len(triple.labelled)
-    du_size = len(triple.unlabelled)
+    unlabelled = triple.unlabelled
+    du_size = len(unlabelled)
+    dl_size = len(triple.work) - du_size
 
-    pool, _ = _score(triple.unlabelled, model, prototypes, cfg, score_seed)
+    pool, _ = _score(unlabelled, model, prototypes, cfg, score_seed)
     pool = pool[pool.scorable]
     confidences = combine(pool.c_a, pool.c_b, pool.c_c, weights, mode, epsilon)
     clock.lap("score_pool")
     ids, labels, _ = select_admissions(pool.ids, pool.y1, confidences, t_c, strict)
     triple, admission_record = admit(triple, ids, labels, iteration_index)
-    triple.validate()
-    # over the pseudo-labels now in D_l
-    cumulative = label_accuracy(triple.labelled[triple.labelled.admitted != 0])
+    work = triple.work
+    pseudo = work.admitted != 0  # the pseudo-labels now in D_l
+    cumulative = label_accuracy(work.label[pseudo], work.true_label[pseudo])
     clock.lap("admit")
 
     new_state = replace(state, triple=triple, frozen_threshold=frozen)
@@ -296,8 +302,6 @@ def run_single(cfg, samples, base_seed) -> RunReport:
             cfg.split.validation_count,
             seed=derive_seed(base_seed, "split"),
         ),
-        d=samples.X.shape[1],
-        C=int(samples.true_label.max()) + 1,
     )
     records = []
     while not should_stop(records, cfg):
@@ -308,12 +312,13 @@ def run_single(cfg, samples, base_seed) -> RunReport:
     if records:
         benchmark, final = records[0].val_error, records[-1].val_error
     else:
-        benchmark = final = _train(cfg, state.triple, state.d, state.C, base_seed, 1)[1]
+        triple = state.triple
+        _, benchmark = _train(cfg, triple.labelled, triple.validation, base_seed, 1)
+        final = benchmark
     improvement = (
         benchmark - final if (benchmark is not None and final is not None) else None
     )
     return RunReport(
-        config=config_to_dict(cfg),
         iterations=records,
         benchmark_val_error=benchmark,
         final_val_error=final,

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,21 @@ def make_sample(sid, features, label=None):
 
 
 def samples_of(*rows):
-    """One sample set from one-row sets, in the order given."""
-    return Samples.concatenate(rows)
+    """One sample set from the rows of the given sets, in the order given."""
+    return Samples(
+        *(np.concatenate([getattr(r, f.name) for r in rows]) for f in fields(Samples))
+    )
+
+
+def assert_partition(triple, ids):
+    """D_l, D_u and the validation set of ``triple`` hold each of ``ids`` once.
+
+    One comparison checks that the three sets are disjoint and that together
+    they hold every row of the table.
+    """
+    parts = (triple.labelled, triple.unlabelled, triple.validation)
+    found = np.sort(np.concatenate([part.ids for part in parts]))
+    np.testing.assert_array_equal(found, np.sort(ids))
 
 
 def logit_model(scale=1.0, C=2):
@@ -34,7 +49,6 @@ def logit_model(scale=1.0, C=2):
         C=C,
         hidden_units=0,
         params={"W": scale * np.eye(C), "b": np.zeros(C)},
-        init_seed=0,
         trained=True,
     )
 

@@ -48,6 +48,7 @@ from ile.seeding import derive_seed
 from ile.synth import generate
 from ile.threshold import learn_threshold
 
+from conftest import assert_partition
 from test_ensemble import oracle_select, random_posterior_rows
 from test_threshold import oracle_threshold
 
@@ -267,10 +268,11 @@ def test_conservation_invariants_hold_every_iteration(fixture_reports):
         cfg.split.validation_count,
         seed=derive_seed(cfg.seed, "split"),
     )
-    state = LoopState(config=cfg, triple=triple, d=2, C=4)
-    total = state.triple.total_size()
+    state = LoopState(config=cfg, triple=triple)
     for it in range(1, 4):
         state, record = run_iteration(state, it, cfg.seed)
-        state.triple.validate()
-        assert state.triple.total_size() == total
+        assert_partition(state.triple, samples.ids)
+        labelled = state.triple.labelled
+        clean = labelled.admitted == 0
+        assert (labelled.label[clean] == labelled.true_label[clean]).all()
     print("\nconservation held on all fixture runs and a stepped re-run")

@@ -254,7 +254,6 @@ def random_model(rng, d, C):
         C=C,
         hidden_units=0,
         params={"W": rng.normal(size=(d, C)), "b": rng.normal(size=C)},
-        init_seed=0,
         trained=True,
     )
 

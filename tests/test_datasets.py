@@ -6,11 +6,11 @@ import pytest
 from ile import DataError, DatasetTriple, admit, evaluate, load_table, save_table, split
 from ile.datasets import release_pseudo
 
-from conftest import logit_model, make_sample, samples_of
+from conftest import assert_partition, logit_model, make_sample, samples_of
 
 
 # ---------------------------------------------------------------------------
-# Row invariants, checked by DatasetTriple.validate
+# Input checks: split takes clean rows with distinct ids, admit an iteration
 # ---------------------------------------------------------------------------
 
 def row(sid=1, true_label=0, label=0, admitted=0):
@@ -22,30 +22,38 @@ def row(sid=1, true_label=0, label=0, admitted=0):
     )
 
 
-def in_labelled(rows):
-    return DatasetTriple(rows, rows[:0], rows[:0])
+def split_rows(*rows):
+    return split(samples_of(*rows), labelled_per_class=1, validation_count=0, seed=0)
 
 
 def test_pseudo_sample_requires_label_and_iteration():
-    with pytest.raises(DataError):
-        in_labelled(row(label=-1, admitted=1)).validate()
-    # a pseudo-label lives in D_l only: elsewhere it has no admitting iteration
-    empty = row()[:0]
-    with pytest.raises(DataError):
-        DatasetTriple(empty, row(label=0, admitted=1), empty).validate()
-    with pytest.raises(DataError):
-        DatasetTriple(empty, empty, row(label=0, admitted=1)).validate()
-    in_labelled(row(true_label=1, label=0, admitted=2)).validate()
+    triple = toy_triple()
+    with pytest.raises(DataError, match="iteration 0"):
+        admit(triple, [2], [0], iteration=0)
+    with pytest.raises(DataError, match="iteration 0"):
+        admit(triple, [], [], iteration=0)
+    with pytest.raises(DataError, match="id 2 admitted without a label"):
+        admit(triple, [2], [-1], iteration=1)
 
 
 def test_clean_sample_label_must_match_truth():
-    with pytest.raises(DataError, match="contradicts"):
-        in_labelled(row(true_label=0, label=1)).validate()
+    with pytest.raises(DataError, match="sample 1 is not clean: label != true_label"):
+        split_rows(row(sid=0), row(sid=1, true_label=0, label=1))
+    # a label without ground truth is not clean either
+    with pytest.raises(DataError, match="sample 1 is not clean: label != true_label"):
+        split_rows(row(sid=0), row(sid=1, true_label=-1, label=0))
+    split_rows(row(sid=0), row(sid=1, true_label=-1, label=-1))
 
 
 def test_unknown_provenance_rejected():
-    with pytest.raises(DataError, match="negative"):
-        in_labelled(row(admitted=-1)).validate()
+    for admitted in (-1, 2):
+        with pytest.raises(DataError, match="sample 1 is not clean: admitted != 0"):
+            split_rows(row(sid=0), row(sid=1, admitted=admitted))
+
+
+def test_split_rejects_duplicate_ids():
+    with pytest.raises(DataError, match="duplicate id 4"):
+        split_rows(row(sid=4), row(sid=1), row(sid=4, true_label=1, label=1))
 
 
 def test_sample_sets_stack_rows_and_evaluation_needs_labels():
@@ -225,9 +233,8 @@ def test_save_empty_or_ragged_rejected(tmp_path):
     with pytest.raises(DataError):
         save_table(make_sample(0, [1.0], 0)[:0], str(tmp_path / "x.csv"))
     # rows of one set share a dimension: a ragged set cannot be built
-    with pytest.raises(DataError, match="dimension"):
-        ragged = samples_of(make_sample(0, [1.0], 0), make_sample(1, [1.0, 2.0], 0))
-        save_table(ragged, str(tmp_path / "x.csv"))
+    with pytest.raises(ValueError, match="dimension"):
+        samples_of(make_sample(0, [1.0], 0), make_sample(1, [1.0, 2.0], 0))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +304,7 @@ def test_split_sends_rows_without_ground_truth_to_the_pool():
     pool_ids = after.unlabelled.ids.tolist()
     assert pool_ids == sorted(before.unlabelled.ids.tolist() + unknown.ids.tolist())
     assert (after.unlabelled.label == -1).all()
-    after.validate()
+    assert_partition(after, samples_of(known, unknown).ids)
 
 
 def test_split_errors():
@@ -317,12 +324,24 @@ def test_split_errors():
 # admit / release
 # ---------------------------------------------------------------------------
 
+TOY_IDS = np.arange(9)
+
+
 def toy_triple():
+    """Ids 0-1 labelled, 2-7 in the pool (truly ``id % 2``), 8 for validation."""
     labelled = samples_of(make_sample(0, [0.0], 0), make_sample(1, [1.0], 1))
     unlabelled = samples_of(
         *(replace(make_sample(i, [float(i)], i % 2), label=np.array([-1])) for i in range(2, 8))
     )
-    return DatasetTriple(labelled, unlabelled, labelled[:0])
+    return DatasetTriple(samples_of(labelled, unlabelled), make_sample(8, [8.0], 0))
+
+
+def views(triple):
+    """The ids, labels and admitting iterations of D_l, D_u and validation."""
+    return [
+        (part.ids.tolist(), part.label.tolist(), part.admitted.tolist())
+        for part in (triple.labelled, triple.unlabelled, triple.validation)
+    ]
 
 
 def test_admit_moves_samples_and_scores_accuracy():
@@ -331,7 +350,7 @@ def test_admit_moves_samples_and_scores_accuracy():
     new, record = admit(triple, [2, 3, 4, 5], [0, 1, 0, 0], iteration=2)
     assert record.addition_accuracy == 0.75
     assert sorted(record.admitted_ids.tolist()) == [2, 3, 4, 5]
-    assert new.total_size() == triple.total_size()
+    assert_partition(new, TOY_IDS)
     assert len(new.labelled) == 6
     assert len(new.unlabelled) == 2
     admitted = new.labelled[new.labelled.admitted != 0]  # pseudo rows
@@ -340,7 +359,8 @@ def test_admit_moves_samples_and_scores_accuracy():
     five = admitted[admitted.ids == 5]
     assert five.label[0] == 0
     assert five.true_label[0] == 1  # hidden truth survives admission
-    new.validate()
+    # the admissions follow the clean rows of D_l, in id order
+    assert new.labelled.ids.tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_admit_empty_is_identity():
@@ -363,14 +383,14 @@ def test_admit_rejects_ids_outside_pool():
 
 def test_admit_sequence_conserves_and_grows():
     triple = toy_triple()
-    total = triple.total_size()
     sizes = [len(triple.labelled)]
-    for it, sid in enumerate([2, 3, 4], start=1):
+    for it, sid in enumerate([4, 3, 2], start=1):
         triple, _ = admit(triple, [sid], [sid % 2], iteration=it)
-        triple.validate()
-        assert triple.total_size() == total
+        assert_partition(triple, TOY_IDS)
         sizes.append(len(triple.labelled))
     assert sizes == sorted(sizes)
+    # each iteration's admissions after the earlier ones, whatever their ids
+    assert triple.labelled.ids.tolist() == [0, 1, 4, 3, 2]
 
 
 def test_release_pseudo_returns_admissions_to_pool():
@@ -384,17 +404,15 @@ def test_release_pseudo_returns_admissions_to_pool():
     assert two.label[0] == -1
     assert two.true_label[0] == 0
     assert pool.ids.tolist() == sorted(pool.ids.tolist())
-    released.validate()
+    assert (pool.admitted == 0).all()
+    assert_partition(released, TOY_IDS)
 
 
-def test_triple_validate_catches_violations():
-    empty = make_sample(0, [0.0], 0)[:0]
-    dup = DatasetTriple(make_sample(0, [0.0], 0), make_sample(0, [0.0], None), empty)
-    with pytest.raises(DataError, match="id 0"):
-        dup.validate()
-    bad_unlabelled = DatasetTriple(empty, make_sample(1, [0.0], 1), empty)
-    with pytest.raises(DataError, match="unlabelled"):
-        bad_unlabelled.validate()
-    bad_labelled = DatasetTriple(make_sample(2, [0.0], None), empty, empty)
-    with pytest.raises(DataError, match="no assigned label"):
-        bad_labelled.validate()
+def test_admit_and_release_leave_their_input_untouched():
+    triple = toy_triple()
+    before = views(triple)
+    admitted, _ = admit(triple, [2, 5], [0, 0], iteration=1)
+    assert views(triple) == before
+    before = views(admitted)
+    release_pseudo(admitted)
+    assert views(admitted) == before

@@ -31,6 +31,8 @@ from ile.loop import (
 )
 from ile.seeding import derive_seed
 
+from conftest import assert_partition
+
 
 def small_cfg(**over):
     base = dict(
@@ -187,13 +189,11 @@ def test_step_by_step_invariants_hold():
 
     base_seed = 3
     triple = split_samples(samples, 5, 30, seed=derive_seed(base_seed, "split"))
-    state = LoopState(config=cfg, triple=triple, d=2, C=3)
-    total = state.triple.total_size()
+    state = LoopState(config=cfg, triple=triple)
     last_dl = len(state.triple.labelled)
     for it in range(1, 4):
         state, record = run_iteration(state, it, base_seed)
-        state.triple.validate()  # id-disjointness after every iteration
-        assert state.triple.total_size() == total
+        assert_partition(state.triple, samples.ids)  # after every iteration
         assert len(state.triple.labelled) >= last_dl
         last_dl = len(state.triple.labelled)
         assert record.added_count == (state.triple.labelled.admitted == it).sum()
@@ -208,7 +208,7 @@ def test_addition_accuracy_counts_only_rows_with_ground_truth():
     from ile.datasets import split as split_samples
 
     triple = split_samples(samples, 5, 30, seed=derive_seed(base_seed, "split"))
-    state = LoopState(config=cfg, triple=triple, d=2, C=3)
+    state = LoopState(config=cfg, triple=triple)
     state, record = run_iteration(state, 1, base_seed)
     admitted = state.triple.labelled[state.triple.labelled.admitted == 1]
     judged = admitted[admitted.true_label != -1]
@@ -270,20 +270,17 @@ def test_bookkeeping_holds_after_every_iteration_in_every_mode(
 
     samples = loop._load_samples(cfg)
     triple = split_samples(samples, 3, 9, seed=derive_seed(base_seed, "split"))
-    all_ids = sorted(samples.ids.tolist())
     validation_ids = triple.validation.ids.tolist()
     total = len(triple.labelled) + len(triple.unlabelled)
     clean_count = len(triple.labelled)
-    state = LoopState(config=cfg, triple=triple, d=2, C=3)
+    state = LoopState(config=cfg, triple=triple)
     thresholds = []
     for it in range(1, 4):
         state, record = run_iteration(state, it, base_seed)
         thresholds.append(record.threshold)
         t = state.triple
-        t.validate()
-        parts = [part.ids.tolist() for part in (t.labelled, t.unlabelled, t.validation)]
-        assert sorted(sum(parts, [])) == all_ids  # disjoint and complete
-        assert parts[2] == validation_ids
+        assert_partition(t, samples.ids)
+        assert t.validation.ids.tolist() == validation_ids
         assert record.dl_size + record.du_size == total
         assert len(t.labelled) + len(t.unlabelled) == total
         assert len(t.labelled) == record.dl_size + record.added_count
