@@ -15,7 +15,7 @@ from pathlib import Path
 from . import loop, synth
 from .config import load_config
 from .datasets import save_table
-from .errors import ConfigError, DataError, IleError
+from .errors import ConfigError, DataError, IleError, writing
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -144,7 +144,7 @@ def _write_curves(run_dir, repeats):
         ("curve_growth.tsv", "dl_size"),
     ):
         path = Path(run_dir) / filename
-        with open(path, "w") as fh:
+        with writing(path), open(path, "w") as fh:
             headers = ["iteration"] + [
                 column_name(field, k) for k in range(len(repeats))
             ]

@@ -4,9 +4,10 @@ One decoder and one encoder walk ``dataclasses.fields()``. A field's name
 is its JSON key, its annotation is the type a JSON value must have, and
 its default is what an omitted key means; a field without a default is
 required. Unknown keys are rejected so that typos fail loudly instead of
-silently falling back to defaults. The few fields whose JSON form differs
-from the field itself carry a codec in their metadata. Every consumer
-module reads exactly one section.
+silently falling back to defaults. The two fields whose JSON value has
+another form than the field's (the augmentation plan and the metric
+weights) carry a codec in their metadata. Every consumer module reads
+exactly one section.
 """
 
 import json
@@ -24,10 +25,11 @@ from .synth import check_spec
 
 REFRESH_POLICIES = ("every_iteration", "freeze_after_first")
 ADMIT_RULES = ("closed", "open")
+STD_MODES = ("population", "sample")
 
 
 class _Codec(NamedTuple):
-    """A field's own JSON form; ``decode`` returns MISSING for "the default"."""
+    """A field's own JSON form."""
 
     decode: Callable  # (raw, where) -> value
     encode: Callable  # value -> raw
@@ -56,29 +58,18 @@ def _decode_weights(raw, where):
     return MetricWeights(*weights)
 
 
-def _decode_std(raw, where):
-    _check_keys(raw, ["std"], where)
-    if "std" not in raw:
-        return MISSING
-    std = _decode(str, raw["std"], f"{where}.std")
-    if std not in ("population", "sample"):
-        raise ConfigError(f"{where}.std must be 'population' or 'sample'")
-    return std == "population"
-
-
 _AUGMENT = _Codec(
     _decode_augment, lambda plan: [transform_to_dict(t) for t in plan.transforms]
 )
 _WEIGHTS = _Codec(
     _decode_weights, lambda w: "calibrate" if w is None else [w.w_a, w.w_b, w.w_c]
 )
-_STD = _Codec(_decode_std, lambda pop: {"std": "population" if pop else "sample"})
 
 
-def _json(key=None, codec=None, omit_none=False):
-    """Field metadata: a JSON key other than the field name, a codec, and
-    whether an unset (None) value is left out of the serialized form."""
-    return {"key": key, "codec": codec, "omit_none": omit_none}
+def _json(codec=None, omit_none=False):
+    """Field metadata: a codec, and whether an unset (None) value is left
+    out of the serialized form."""
+    return {"codec": codec, "omit_none": omit_none}
 
 
 @dataclass(frozen=True)
@@ -128,6 +119,16 @@ class ClassifierSpec:
     def validate(self):
         check_architecture(self.architecture, self.hidden_units)
         self.train.validate()
+
+
+@dataclass(frozen=True)
+class EnsembleSpec:
+    # the spread penalty's std: divide by A ("population") or by A - 1
+    std: str = "population"
+
+    def validate(self):
+        if self.std not in STD_MODES:
+            raise ConfigError("ensemble.std must be 'population' or 'sample'")
 
 
 @dataclass(frozen=True)
@@ -189,9 +190,7 @@ class RunConfig:
     confidence: ConfidenceSpec = field(default_factory=ConfidenceSpec)
     threshold: ThresholdSpec = field(default_factory=ThresholdSpec)
     loop: LoopSpec = field(default_factory=LoopSpec)
-    population_std: bool = field(
-        default=True, metadata=_json(key="ensemble", codec=_STD)
-    )
+    ensemble: EnsembleSpec = field(default_factory=EnsembleSpec)
     seed: int = 0
     output_dir: str | None = None
 
@@ -202,15 +201,12 @@ class RunConfig:
         self.confidence.validate()
         self.threshold.validate()
         self.loop.validate()
+        self.ensemble.validate()
 
 
 # ---------------------------------------------------------------------------
 # Decoding and encoding
 # ---------------------------------------------------------------------------
-
-def _key(f):
-    return f.metadata.get("key") or f.name
-
 
 _SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "text"}
 
@@ -223,19 +219,17 @@ def _decode(tp, raw, where):
         (tp,) = [t for t in tp.__args__ if t is not type(None)]
     if is_dataclass(tp):
         section = where or "config"
-        by_key = {_key(f): f for f in fields(tp)}
-        _check_keys(raw, by_key, section)
+        _check_keys(raw, [f.name for f in fields(tp)], section)
         values = {}
-        for key, f in by_key.items():
+        for f in fields(tp):
+            key = f.name
             if key not in raw:
                 if f.default is MISSING and f.default_factory is MISSING:
                     raise ConfigError(f"missing required key {key!r} in {section}")
                 continue
             codec = f.metadata.get("codec")
             decode = codec.decode if codec else partial(_decode, f.type)
-            value = decode(raw[key], f"{where}.{key}" if where else key)
-            if value is not MISSING:
-                values[f.name] = value
+            values[key] = decode(raw[key], f"{where}.{key}" if where else key)
         return tp(**values)
     if tp in (bool, str) and isinstance(raw, tp):
         return raw
@@ -259,7 +253,7 @@ def config_to_dict(obj) -> dict:
             value = codec.encode(value)
         elif is_dataclass(value):
             value = config_to_dict(value)
-        out[_key(f)] = value
+        out[f.name] = value
     return out
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, writing
 from .seeding import rng
 
 UNKNOWN = -1  # label sentinel: no ground truth, or no label assigned
@@ -63,12 +63,6 @@ class Samples:
     def __getitem__(self, index):
         """The samples selected by ``index`` (a mask, slice or index array)."""
         return Samples(*(getattr(self, f.name)[index] for f in fields(self)))
-
-    def by_id(self):
-        """The same samples in ascending id order; ``self`` if already so."""
-        if (self.ids[1:] > self.ids[:-1]).all():
-            return self
-        return self[np.argsort(self.ids, kind="stable")]
 
 
 def _first_id(samples, mask):
@@ -231,7 +225,7 @@ def save_table(samples, path, format="csv", num_classes=None):
     labels = np.where(samples.true_label != UNKNOWN, samples.true_label, samples.label)
 
     if format == "csv":
-        with open(path, "w", newline="") as fh:
+        with writing(path), open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["id", "label"] + [f"f{i}" for i in range(d)])
             # row by row: one list of every value would briefly hold the
@@ -247,7 +241,7 @@ def save_table(samples, path, format="csv", num_classes=None):
             raise DataError("binary tables hold ids in [0, 2**32)")
         rows = np.empty(n, dtype=_binary_record(d))
         rows["id"], rows["label"], rows["X"] = samples.ids, labels, samples.X
-        with open(path, "wb") as fh:
+        with writing(path), open(path, "wb") as fh:
             fh.write(_BINARY_MAGIC)
             fh.write(struct.pack("<III", n, d, num_classes))
             fh.write(rows.tobytes())
@@ -277,7 +271,7 @@ def split(samples, labelled_per_class, validation_count, seed) -> DatasetTriple:
     duplicate = _duplicate_id(samples.ids)
     if duplicate is not None:
         raise DataError(f"duplicate id {duplicate}")
-    samples = samples.by_id()
+    samples = samples[np.argsort(samples.ids, kind="stable")]
     for bad, rule in (
         (samples.admitted != 0, "admitted != 0"),
         (samples.label != samples.true_label, "label != true_label"),

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ConfigError -> 1 (usage),
 DataError -> 2, everything else -> 3.
 """
 
+from contextlib import contextmanager
+
 
 class IleError(Exception):
     """Base class for all errors raised by this package."""
@@ -30,3 +32,12 @@ class MissingPrototypeError(DataError):
 
     Signals that a sample cannot be scored this iteration; callers skip it.
     """
+
+
+@contextmanager
+def writing(path):
+    """Turn an OSError raised while writing ``path`` into a DataError."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc

@@ -1,11 +1,11 @@
 """The iterative self-training cycle.
 
 Each iteration re-initializes the model from a derived seed, trains it on the
-current labelled set, rebuilds the class prototypes, learns the admission
-threshold on training-data confidences, scores the whole unlabelled pool with
-the augmentation ensemble plus confidence metrics, and admits every sample
-that clears the threshold. The labelled set and the pool are views of one
-working table (see ``datasets``); an iteration builds each view once.
+current labelled set, rebuilds the class prototypes, and scores the whole
+working table once with the augmentation ensemble plus confidence metrics.
+The labelled set and the pool are views of that table (see ``datasets``), so
+their scores are masks of the one pass: the training rows' confidences learn
+the admission threshold, and every pool sample that clears it is admitted.
 Scoring runs block-wise: SCORE_BLOCK samples at a time go through one
 forward pass as arrays. The labelled-only benchmark that improvement is
 measured against is the first iteration's model: with the same seeds and
@@ -33,13 +33,14 @@ from .confidence import (
 )
 from .config import RunConfig, config_to_dict
 from .datasets import (
+    UNKNOWN,
     DatasetTriple,
     admit,
     label_accuracy,
     load_table,
     release_pseudo,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, writing
 from .seeding import derive_seed
 from .synth import generate
 from .threshold import learn_threshold, select_admissions
@@ -51,8 +52,8 @@ log = logging.getLogger("ile")
 class IterationRecord:
     """One row of the run log.
 
-    Sizes are those of D_l and D_u when the pool is scored, that is after
-    re-scoring mode has returned earlier pseudo-labels to the pool.
+    Sizes are those of D_l and D_u when admissions are chosen, that is
+    after re-scoring mode has returned earlier pseudo-labels to the pool.
     ``stage_s`` maps each of STAGES to its wall-clock seconds. The fields
     marked as timing go to metrics.csv only; every other field goes to
     both metrics.csv and report.json.
@@ -96,10 +97,9 @@ class LoopState:
 STAGES = (
     "fit",  # init, fit and validation error
     "prototypes",
-    "score_train",
+    "score",  # the whole working table, once
     "weights_threshold",
-    "score_pool",  # with re-scoring mode's release of earlier admissions
-    "admit",
+    "admit",  # with re-scoring mode's release of earlier admissions
 )
 
 
@@ -146,27 +146,25 @@ def _train(cfg, labelled, validation, base_seed, iteration_index):
     return model, val_error
 
 
-def _score(samples, model, prototypes, cfg, seed):
-    """BlockScores of ``samples`` and their labels, both in id order.
+def _score(work, model, prototypes, cfg, seed):
+    """BlockScores of the working table ``work``, in its (id) order.
 
-    SCORE_BLOCK samples go through each forward pass.
+    SCORE_BLOCK samples go through each forward pass. ``work`` is never
+    empty: it holds a labelled row of every class.
     """
-    ordered = samples.by_id()
-    # an empty set still goes through once, as one empty block
-    scores = BlockScores.concatenate(
+    return BlockScores.concatenate(
         [
             score_block(
                 model,
                 prototypes,
                 cfg.augment,
-                ordered[start : start + SCORE_BLOCK],
+                work[start : start + SCORE_BLOCK],
                 seed,
-                population_std=cfg.population_std,
+                population_std=cfg.ensemble.std == "population",
             )
-            for start in range(0, max(len(ordered), 1), SCORE_BLOCK)
+            for start in range(0, len(work), SCORE_BLOCK)
         ]
     )
-    return scores, ordered.label
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +184,17 @@ def run_iteration(state, iteration_index, base_seed):
     clock.lap("fit")
     prototypes = build_prototypes(model, labelled)
     clock.lap("prototypes")
-    score_seed = derive_seed(base_seed, iteration_index, "score")
+    work = triple.work
+    seed = derive_seed(base_seed, iteration_index, "score")
+    scores = _score(work, model, prototypes, cfg, seed)
+    clock.lap("score")
 
-    train, labels = _score(labelled, model, prototypes, cfg, score_seed)
-    correct = (train.y1 == labels)[train.scorable]
-    train = train[train.scorable]
+    # the training scores: every row of D_l as it was trained on
+    in_train = (work.label != UNKNOWN) & scores.scorable
+    train = scores[in_train]
     if not train.ids.size:
         raise DataError("no training sample could be scored")
-    clock.lap("score_train")
+    correct = train.y1 == work.label[in_train]
 
     if cfg.confidence.weights is not None:
         weights = cfg.confidence.weights
@@ -217,14 +218,12 @@ def run_iteration(state, iteration_index, base_seed):
 
     if cfg.loop.rescore_admitted:
         triple = release_pseudo(triple)
-    unlabelled = triple.unlabelled
-    du_size = len(unlabelled)
-    dl_size = len(triple.work) - du_size
-
-    pool, _ = _score(unlabelled, model, prototypes, cfg, score_seed)
-    pool = pool[pool.scorable]
+    # the pool scores: every row of D_u, after any release
+    in_pool = triple.work.label == UNKNOWN
+    du_size = int(in_pool.sum())
+    dl_size = len(work) - du_size
+    pool = scores[in_pool & scores.scorable]
     confidences = combine(pool.c_a, pool.c_b, pool.c_c, weights, mode, epsilon)
-    clock.lap("score_pool")
     ids, labels, _ = select_admissions(pool.ids, pool.y1, confidences, t_c, strict)
     triple, admission_record = admit(triple, ids, labels, iteration_index)
     work = triple.work
@@ -341,6 +340,9 @@ def run(cfg, base_seed=None, output_dir=None) -> dict:
     out_dir = output_dir if output_dir is not None else cfg.output_dir
     if out_dir is None:
         raise ConfigError("no output directory: set output_dir or pass --out")
+    # before any work, so an unusable directory costs no training
+    with writing(out_dir):
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
 
     samples = _load_samples(cfg)
     seeds = [derive_seed(cfg.seed, "repeat", k) for k in range(cfg.loop.repeat_count)]
@@ -436,12 +438,12 @@ def _csv_row(repeat, r):
 
 
 def write_artifacts(out_dir, payload, reports):
+    """Write report.json and metrics.csv into the existing ``out_dir``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w") as fh:
+    with writing(out / "report.json"), open(out / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(out / "metrics.csv", "w", newline="") as fh:
+    with writing(out / "metrics.csv"), open(out / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
         for k, rep in enumerate(reports):

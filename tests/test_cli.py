@@ -61,6 +61,12 @@ def test_synth_usage_errors(tmp_path):
     assert run_cli("frobnicate") == 1
 
 
+def test_synth_into_a_missing_directory_is_a_data_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert run_cli("synth", "blobs", "--per-class", "5", "--out", str(out)) == 2
+    assert f"data error: cannot write {out}:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -163,6 +169,21 @@ def test_dry_run_touches_nothing(tmp_path, capsys):
     assert run_cli("run", "--config", cfg, "--out", str(out), "--dry-run") == 0
     assert not out.exists()
     assert "OK" in capsys.readouterr().out
+
+
+def test_run_into_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    import ile.cli as cli
+
+    def must_not_load(cfg):
+        raise AssertionError("data loaded before the output directory was made")
+
+    monkeypatch.setattr(cli.loop, "_load_samples", must_not_load)
+    cfg = config_file(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+    assert run_cli("run", "--config", cfg, "--out", str(out)) == 2
+    assert f"data error: cannot write {out}:" in capsys.readouterr().err
+    assert out.read_text() == "a file, not a directory"
 
 
 def test_runtime_errors_map_to_exit_three(tmp_path, monkeypatch):
@@ -309,6 +330,15 @@ def test_report_data_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "is not an ile report" in captured.err
         assert captured.out == ""
+
+
+def test_report_that_cannot_write_its_curves_is_a_data_error(tmp_path, capsys):
+    records = [record(1, 40, 2000, 500, 0.99, 0.10)]
+    run_dir = write_report(tmp_path, single_payload(0.2, 0.07, records))
+    curve = tmp_path / "run" / "curve_error.tsv"
+    curve.mkdir()  # a directory where the curve file goes
+    assert run_cli("report", run_dir) == 2
+    assert f"data error: cannot write {curve}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -79,7 +79,7 @@ def test_minimal_config_gets_documented_defaults():
     assert cfg.loop.patience == 2
     assert cfg.loop.repeat_count == 1
     assert cfg.loop.rescore_admitted is False
-    assert cfg.population_std is True
+    assert cfg.ensemble.std == "population"
     assert cfg.seed == 0
     assert cfg.output_dir is None
 
@@ -105,7 +105,7 @@ def test_full_dict_parses_every_field():
     assert cfg.threshold.refresh == "freeze_after_first"
     assert cfg.threshold.admit_rule == "open"
     assert cfg.loop.rescore_admitted is True
-    assert cfg.population_std is False
+    assert cfg.ensemble.std == "sample"
     assert cfg.seed == 99
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ile import ConfigError, RunConfig, TrainConfig
+from ile import ConfigError, DataError, RunConfig, TrainConfig
 from ile.augment import AugmentationPlan, GaussianJitter, Identity
 from ile.config import (
     ClassifierSpec,
@@ -296,6 +296,41 @@ def test_bookkeeping_holds_after_every_iteration_in_every_mode(
             break
 
 
+@pytest.mark.parametrize(
+    "over",
+    [
+        {},
+        {"loop": LoopSpec(max_iterations=3, rescore_admitted=True)},
+        {"threshold": ThresholdSpec(target_accuracy=0.95, refresh="freeze_after_first")},
+    ],
+    ids=["default", "rescore", "frozen"],
+)
+def test_each_iteration_scores_every_working_row_once(monkeypatch, over):
+    cfg = small_cfg(**over)
+    base_seed = 7
+    from ile.datasets import split as split_samples
+
+    samples = loop._load_samples(cfg)
+    triple = split_samples(samples, 5, 30, seed=derive_seed(base_seed, "split"))
+    work_ids = triple.work.ids.tolist()
+    scored = []
+    score_block = loop.score_block
+
+    def recording(model, prototypes, plan, block, seed, **kwargs):
+        scored.append(block.ids)
+        return score_block(model, prototypes, plan, block, seed, **kwargs)
+
+    monkeypatch.setattr(loop, "score_block", recording)
+    state = LoopState(config=cfg, triple=triple)
+    pseudo_scored = 0
+    for it in range(1, 4):
+        scored.clear()
+        pseudo_scored += int((state.triple.work.admitted != 0).sum())
+        state, _ = run_iteration(state, it, base_seed)
+        assert sorted(np.concatenate(scored).tolist()) == work_ids
+    assert pseudo_scored, "expected pseudo-labelled rows to score"
+
+
 def test_should_stop_rules():
     cfg = small_cfg(loop=LoopSpec(max_iterations=5, patience=2))
 
@@ -339,14 +374,7 @@ def test_run_writes_artifacts_and_payload_matches(tmp_path):
 def test_metrics_csv_times_each_stage(tmp_path):
     out = tmp_path / "run"
     payload = run(small_cfg(), output_dir=str(out))
-    stages = [
-        "fit_s",
-        "prototypes_s",
-        "score_train_s",
-        "weights_threshold_s",
-        "score_pool_s",
-        "admit_s",
-    ]
+    stages = ["fit_s", "prototypes_s", "score_s", "weights_threshold_s", "admit_s"]
     with open(out / "metrics.csv", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -359,6 +387,13 @@ def test_metrics_csv_times_each_stage(tmp_path):
         assert sum(seconds) <= float(row["wall_time"])
     # wall-clock facts stay out of the deterministic report
     assert not {"wall_time", *stages} & set(payload["iterations"][0])
+
+
+def test_unwritable_artifacts_are_a_data_error(tmp_path):
+    out = tmp_path / "run"
+    (out / "report.json").mkdir(parents=True)  # a directory where the file goes
+    with pytest.raises(DataError, match="cannot write .*report.json"):
+        run(small_cfg(loop=LoopSpec(max_iterations=1)), output_dir=str(out))
 
 
 def test_run_requires_an_output_directory():

@@ -14,9 +14,13 @@ and after; run the tool on both trees and compare with `diff`.
 
 The configs are the three benchmark workloads of `bench/workloads.py`
 (read, not changed), the acceptance gate's blobs fixture
-(`tests/test_acceptance.py::fixture_config`), and three variants of those:
-the fixture with re-scoring mode, the fixture with fixed equal metric
-weights instead of calibrated ones, and digits_pool read from a binary table.
+(`tests/test_acceptance.py::fixture_config`), and variants of those that
+reach every threshold and pool branch of the loop: the fixture with
+re-scoring mode, with fixed equal metric weights instead of calibrated
+ones, with a threshold frozen after the first iteration under the open
+admission rule, with a manual threshold, with the sample std and the
+reciprocal combination, and with re-scoring mode plus a frozen threshold;
+and digits_pool read from a binary table.
 """
 
 import argparse
@@ -83,7 +87,7 @@ def _fixture(**over):
     def write(seed):
         cfg = copy.deepcopy(_FIXTURE)
         for section, values in over.items():
-            cfg[section].update(values)
+            cfg.setdefault(section, {}).update(values)
         return dict(cfg, seed=seed)
 
     return write
@@ -97,6 +101,16 @@ CONFIGS = {
     "acceptance_rescore": _fixture(loop={"rescore_admitted": True}),
     "acceptance_equal_weights": _fixture(confidence={"weights": [1.0 / 3.0] * 3}),
     "digits_pool_binary": _workload("digits_pool", fmt="binary"),
+    "acceptance_frozen_open": _fixture(
+        threshold={"refresh": "freeze_after_first", "admit_rule": "open"}
+    ),
+    "acceptance_manual": _fixture(threshold={"manual": 0.9}),
+    "acceptance_sample_std": _fixture(
+        ensemble={"std": "sample"}, confidence={"combine_mode": "reciprocal"}
+    ),
+    "acceptance_rescore_frozen": _fixture(
+        loop={"rescore_admitted": True}, threshold={"refresh": "freeze_after_first"}
+    ),
 }
 
 
