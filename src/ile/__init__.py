@@ -12,7 +12,6 @@ from .augment import (
     GridHFlip,
     GridShift,
     Identity,
-    make_transform,
 )
 from .classifier import (
     MLP,
@@ -93,7 +92,6 @@ __all__ = [
     "learn_threshold",
     "load_config",
     "load_table",
-    "make_transform",
     "rng",
     "run",
     "run_iteration",

@@ -4,11 +4,16 @@ The transforms are generic stand-ins that work on any block of flat feature
 vectors: additive gaussian jitter plus horizontal flip and shift for vectors
 that are row-major flattenings of a rows x cols grid. The transform list is
 fully config-driven; the original sample is always element 0 of the ensemble.
+
+Each transform is a config section: its dataclass fields are its JSON
+parameters, decoded by the schema walker in ``config.py``, and its ``kind``
+is the JSON name that ``TRANSFORMS`` maps back to the class. A transform
+checks its parameters' ranges when it is built.
 """
 
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -18,6 +23,8 @@ from .seeding import rng
 
 @dataclass(frozen=True)
 class Identity:
+    kind: ClassVar[str] = "identity"
+
     def apply(self, X, ids, seed, slot):
         return X
 
@@ -26,15 +33,14 @@ class Identity:
 class GaussianJitter:
     """Additive noise; sample ``ids[i]`` draws from its own (seed, id, slot) stream."""
 
+    kind: ClassVar[str] = "gaussian_jitter"
     sigma: float
 
     def __post_init__(self):
-        s = self.sigma
-        number = isinstance(s, numbers.Real) and not isinstance(s, bool)
-        if not number or not math.isfinite(s) or s < 0:
+        if not math.isfinite(self.sigma) or self.sigma < 0:
             raise ConfigError(
-                "transform 'gaussian_jitter': sigma must be a finite number >= 0, "
-                f"got {s!r}"
+                f"transform {self.kind!r}: sigma must be a finite number >= 0, "
+                f"got {self.sigma!r}"
             )
 
     def apply(self, X, ids, seed, slot):
@@ -46,17 +52,12 @@ class GaussianJitter:
         return X + noise
 
 
-def _check_grid(t, kind):
-    """Grid parameters are integers, with rows and cols at least 1."""
-    for f in fields(t):
-        value = getattr(t, f.name)
-        least = 1 if f.name in ("rows", "cols") else None
-        integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-        if not integer or (least is not None and value < least):
-            bound = f" >= {least}" if least is not None else ""
-            raise ConfigError(
-                f"transform {kind!r}: {f.name} must be an integer{bound}, got {value!r}"
-            )
+def _check_grid(t):
+    """A grid has at least one row and one column."""
+    for name in ("rows", "cols"):
+        value = getattr(t, name)
+        if value < 1:
+            raise ConfigError(f"transform {t.kind!r}: {name} must be >= 1, got {value!r}")
 
 
 def _as_grids(X, rows, cols):
@@ -69,11 +70,12 @@ def _as_grids(X, rows, cols):
 
 @dataclass(frozen=True)
 class GridHFlip:
+    kind: ClassVar[str] = "grid_hflip"
     rows: int
     cols: int
 
     def __post_init__(self):
-        _check_grid(self, "grid_hflip")
+        _check_grid(self)
 
     def apply(self, X, ids, seed, slot):
         return _as_grids(X, self.rows, self.cols)[:, :, ::-1].reshape(len(X), -1)
@@ -83,13 +85,14 @@ class GridHFlip:
 class GridShift:
     """Translate the grid by (dx, dy) cells, zero-filling vacated cells."""
 
+    kind: ClassVar[str] = "grid_shift"
     rows: int
     cols: int
     dx: int
     dy: int
 
     def __post_init__(self):
-        _check_grid(self, "grid_shift")
+        _check_grid(self)
 
     def apply(self, X, ids, seed, slot):
         g = _as_grids(X, self.rows, self.cols)
@@ -103,39 +106,7 @@ class GridShift:
         return out.reshape(len(X), -1)
 
 
-_KINDS = {
-    "identity": Identity,
-    "gaussian_jitter": GaussianJitter,
-    "grid_hflip": GridHFlip,
-    "grid_shift": GridShift,
-}
-
-
-def make_transform(kind, **params):
-    cls = _KINDS.get(kind)
-    if cls is None:
-        raise ConfigError(f"unknown transform kind {kind!r}")
-    try:
-        return cls(**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for transform {kind!r}: {exc}") from exc
-
-
-def transform_to_dict(t) -> dict:
-    for kind, cls in _KINDS.items():
-        if isinstance(t, cls):
-            out = {"kind": kind}
-            for name in getattr(cls, "__dataclass_fields__", {}):
-                out[name] = getattr(t, name)
-            return out
-    raise ConfigError(f"unknown transform object {t!r}")
-
-
-def transform_from_dict(spec) -> object:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"transform spec must be a dict with a 'kind': {spec!r}")
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    return make_transform(spec["kind"], **params)
+TRANSFORMS = {t.kind: t for t in (Identity, GaussianJitter, GridHFlip, GridShift)}
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ SOFTMAX_REGRESSION = "softmax_regression"
 MLP = "mlp"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 200
     learning_rate: float = 0.1
@@ -24,7 +24,7 @@ class TrainConfig:
     l2: float = 1e-4
     early_stop_patience: int | None = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.learning_rate <= 0:
@@ -153,7 +153,6 @@ def fit(model, labelled, config, seed, validation=None) -> ModelState:
     Each epoch gathers its permutation of the rows once, so every batch is a
     contiguous slice, and the step ``p -= lr * g`` runs in place.
     """
-    config.validate()
     if not labelled:
         raise TrainingError("cannot train on an empty labelled set")
     X, y = labelled.X, _labels(labelled)

@@ -6,8 +6,13 @@ its default is what an omitted key means; a field without a default is
 required. Unknown keys are rejected so that typos fail loudly instead of
 silently falling back to defaults. The two fields whose JSON value has
 another form than the field's (the augmentation plan and the metric
-weights) carry a codec in their metadata. Every consumer module reads
+weights) carry a codec in their metadata; each transform in the plan is
+itself a section, picked by its ``kind``. Every consumer module reads
 exactly one section.
+
+Every section checks its values' ranges in ``__post_init__`` and is
+frozen, so a config built in Python is checked exactly like one decoded
+from JSON, and no built config is invalid.
 """
 
 import json
@@ -17,7 +22,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .augment import AugmentationPlan, transform_from_dict, transform_to_dict
+from .augment import TRANSFORMS, AugmentationPlan
 from .classifier import SOFTMAX_REGRESSION, TrainConfig, check_architecture
 from .confidence import COMBINE_MODES, MetricWeights
 from .errors import ConfigError
@@ -43,10 +48,24 @@ def _check_keys(mapping, allowed, where):
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _decode_transform(raw, where):
+    """The transform named by ``raw['kind']``, its other keys as parameters."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object")
+    if "kind" not in raw:
+        raise ConfigError(f"missing required key 'kind' in {where}")
+    params = dict(raw)
+    kind = _decode(str, params.pop("kind"), f"{where}.kind")
+    if kind not in TRANSFORMS:
+        raise ConfigError(f"unknown transform kind {kind!r} in {where}")
+    return _decode(TRANSFORMS[kind], params, where)
+
+
 def _decode_augment(raw, where):
     if not isinstance(raw, list):
         raise ConfigError(f"{where} must be a list of transform specs")
-    return AugmentationPlan.from_transforms([transform_from_dict(s) for s in raw])
+    transforms = [_decode_transform(s, f"{where}[{i}]") for i, s in enumerate(raw)]
+    return AugmentationPlan.from_transforms(transforms)
 
 
 def _decode_weights(raw, where):
@@ -59,7 +78,8 @@ def _decode_weights(raw, where):
 
 
 _AUGMENT = _Codec(
-    _decode_augment, lambda plan: [transform_to_dict(t) for t in plan.transforms]
+    _decode_augment,
+    lambda plan: [{"kind": t.kind, **config_to_dict(t)} for t in plan.transforms],
 )
 _WEIGHTS = _Codec(
     _decode_weights, lambda w: "calibrate" if w is None else [w.w_a, w.w_b, w.w_c]
@@ -79,7 +99,7 @@ class SynthSpec:
     per_class: int
     noise: float = 0.0
 
-    def validate(self):
+    def __post_init__(self):
         check_spec(self.kind, self.classes, self.per_class, self.noise)
 
 
@@ -89,13 +109,11 @@ class DataSource:
     format: str = "csv"
     synth: SynthSpec | None = field(default=None, metadata=_json(omit_none=True))
 
-    def validate(self):
+    def __post_init__(self):
         if (self.path is None) == (self.synth is None):
             raise ConfigError("data source needs exactly one of 'path' or 'synth'")
         if self.format not in ("csv", "binary"):
             raise ConfigError(f"unknown data format {self.format!r}")
-        if self.synth is not None:
-            self.synth.validate()
 
 
 @dataclass(frozen=True)
@@ -103,7 +121,7 @@ class SplitSpec:
     labelled_per_class: int
     validation_count: int
 
-    def validate(self):
+    def __post_init__(self):
         if self.labelled_per_class < 1:
             raise ConfigError("labelled_per_class must be >= 1")
         if self.validation_count < 0:
@@ -116,9 +134,8 @@ class ClassifierSpec:
     hidden_units: int | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
 
-    def validate(self):
+    def __post_init__(self):
         check_architecture(self.architecture, self.hidden_units)
-        self.train.validate()
 
 
 @dataclass(frozen=True)
@@ -126,7 +143,7 @@ class EnsembleSpec:
     # the spread penalty's std: divide by A ("population") or by A - 1
     std: str = "population"
 
-    def validate(self):
+    def __post_init__(self):
         if self.std not in STD_MODES:
             raise ConfigError("ensemble.std must be 'population' or 'sample'")
 
@@ -140,7 +157,7 @@ class ConfidenceSpec:
     combine_mode: str = "bounded"
     epsilon: float = 1e-6
 
-    def validate(self):
+    def __post_init__(self):
         if self.combine_mode not in COMBINE_MODES:
             raise ConfigError(f"unknown combine mode {self.combine_mode!r}")
         if self.epsilon <= 0:
@@ -154,7 +171,7 @@ class ThresholdSpec:
     refresh: str = "every_iteration"
     admit_rule: str = "closed"
 
-    def validate(self):
+    def __post_init__(self):
         if not 0 < self.target_accuracy <= 1:
             raise ConfigError("target_accuracy must be in (0, 1]")
         if self.refresh not in REFRESH_POLICIES:
@@ -170,7 +187,7 @@ class LoopSpec:
     repeat_count: int = 1
     rescore_admitted: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be >= 0")
         if self.patience < 1:
@@ -193,15 +210,6 @@ class RunConfig:
     ensemble: EnsembleSpec = field(default_factory=EnsembleSpec)
     seed: int = 0
     output_dir: str | None = None
-
-    def validate(self):
-        self.data.validate()
-        self.split.validate()
-        self.classifier.validate()
-        self.confidence.validate()
-        self.threshold.validate()
-        self.loop.validate()
-        self.ensemble.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +266,7 @@ def config_to_dict(obj) -> dict:
 
 
 def config_from_dict(raw) -> RunConfig:
-    cfg = _decode(RunConfig, raw, "")
-    cfg.validate()
-    return cfg
+    return _decode(RunConfig, raw, "")
 
 
 def load_config(path) -> RunConfig:

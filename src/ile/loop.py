@@ -334,7 +334,6 @@ def run(cfg, base_seed=None, output_dir=None) -> dict:
     runs of the same config into different directories are byte-identical.
     Repeats run one after another in this process.
     """
-    cfg.validate()
     if base_seed is not None:
         cfg = replace(cfg, seed=base_seed)
     out_dir = output_dir if output_dir is not None else cfg.output_dir

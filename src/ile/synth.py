@@ -85,8 +85,8 @@ def check_spec(kind, classes, per_class, noise):
         raise ConfigError("moons supports exactly 2 classes")
     if per_class < 1:
         raise ConfigError("per_class must be >= 1")
-    if noise < 0:
-        raise ConfigError("noise must be >= 0")
+    if not np.isfinite(noise) or noise < 0:
+        raise ConfigError(f"noise must be a finite number >= 0, got {noise!r}")
 
 
 def generate(kind, classes, per_class, noise, seed):

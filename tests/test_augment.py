@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +14,8 @@ from ile.augment import (
     GridShift,
     Identity,
     apply,
-    make_transform,
-    transform_from_dict,
-    transform_to_dict,
 )
+from ile.config import config_from_dict, config_to_dict
 
 from conftest import make_sample, samples_of
 
@@ -126,13 +127,39 @@ def test_plan_must_start_with_identity():
     assert p.count == 2
 
 
-def test_make_transform_dispatch_and_errors():
-    t = make_transform("gaussian_jitter", sigma=0.25)
-    assert t == GaussianJitter(0.25)
-    with pytest.raises(ConfigError):
-        make_transform("warp")
-    with pytest.raises(ConfigError):
-        make_transform("gaussian_jitter", amount=1.0)
+MINIMAL = {
+    "data": {"synth": {"kind": "blobs", "classes": 3, "per_class": 50}},
+    "split": {"labelled_per_class": 5, "validation_count": 20},
+}
+IDENTITY = {"kind": "identity"}
+
+
+def decode_transform(spec):
+    """The transform that ``spec`` decodes to as the config's augment[1]."""
+    cfg = config_from_dict(dict(MINIMAL, augment=[IDENTITY, spec]))
+    return cfg.augment.transforms[1]
+
+
+def encode_transform(t):
+    """The JSON form of ``t`` as the config's augment[1]."""
+    plan = AugmentationPlan.from_transforms([Identity(), t])
+    return config_to_dict(replace(config_from_dict(MINIMAL), augment=plan))["augment"][1]
+
+
+def test_transform_kind_dispatch_and_errors():
+    assert decode_transform({"kind": "gaussian_jitter", "sigma": 0.25}) == GaussianJitter(0.25)
+    with pytest.raises(ConfigError, match=r"unknown transform kind 'warp' in augment\[1\]"):
+        decode_transform({"kind": "warp"})
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in augment\[1\]: amount"):
+        decode_transform({"kind": "gaussian_jitter", "sigma": 0.5, "amount": 1.0})
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in augment\[1\]: x"):
+        decode_transform({"kind": "grid_hflip", "rows": 2, "cols": 2, "x": 1})
+    with pytest.raises(ConfigError, match=r"missing required key 'sigma' in augment\[1\]"):
+        decode_transform({"kind": "gaussian_jitter"})
+    with pytest.raises(ConfigError, match=r"missing required key 'dy' in augment\[1\]"):
+        decode_transform({"kind": "grid_shift", "rows": 2, "cols": 2, "dx": 1})
+    with pytest.raises(ConfigError, match=r"augment\[1\]\.kind must be text"):
+        decode_transform({"kind": 3})
 
 
 @pytest.mark.parametrize(
@@ -145,13 +172,35 @@ def test_make_transform_dispatch_and_errors():
     ],
 )
 def test_transform_dict_round_trip(t):
-    spec = transform_to_dict(t)
+    spec = encode_transform(t)
     assert spec["kind"] in ("identity", "gaussian_jitter", "grid_hflip", "grid_shift")
-    assert transform_from_dict(spec) == t
+    assert decode_transform(spec) == t
 
 
-def test_transform_from_dict_rejects_garbage():
-    with pytest.raises(ConfigError):
-        transform_from_dict({"sigma": 1.0})
-    with pytest.raises(ConfigError):
-        transform_from_dict("identity")
+_TRANSFORMS = st.one_of(
+    st.just(Identity()),
+    st.builds(GaussianJitter, st.floats(0.0, 1e6, allow_nan=False)),
+    st.builds(GridHFlip, st.integers(1, 64), st.integers(1, 64)),
+    st.builds(
+        GridShift,
+        st.integers(1, 64),
+        st.integers(1, 64),
+        st.integers(-64, 64),
+        st.integers(-64, 64),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=_TRANSFORMS)
+def test_every_transform_round_trips_through_json(t):
+    spec = json.loads(json.dumps(encode_transform(t)))
+    assert decode_transform(spec) == t
+    assert encode_transform(decode_transform(spec)) == spec
+
+
+def test_transform_spec_must_be_an_object_with_a_kind():
+    with pytest.raises(ConfigError, match=r"missing required key 'kind' in augment\[1\]"):
+        decode_transform({"sigma": 1.0})
+    with pytest.raises(ConfigError, match=r"augment\[1\] must be an object"):
+        decode_transform("identity")

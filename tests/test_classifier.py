@@ -166,15 +166,15 @@ def test_far_inside_sample_predicts_its_class(separable_model, separable_samples
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(epochs=0).validate()
+        TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
-        TrainConfig(learning_rate=0.0).validate()
+        TrainConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
-        TrainConfig(batch_size=0).validate()
+        TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
-        TrainConfig(l2=-0.1).validate()
+        TrainConfig(l2=-0.1)
     with pytest.raises(ConfigError):
-        TrainConfig(early_stop_patience=0).validate()
+        TrainConfig(early_stop_patience=0)
 
 
 def test_fit_is_deterministic(separable_samples):

@@ -61,6 +61,23 @@ def test_synth_usage_errors(tmp_path):
     assert run_cli("frobnicate") == 1
 
 
+def test_synth_rejects_non_finite_noise_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for noise in ("nan", "inf"):
+        assert run_cli("synth", "blobs", "--per-class", "5", "--noise", noise, "--out", str(out)) == 1
+        assert "noise must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_infinite_synth_noise_as_a_usage_error(tmp_path, capsys):
+    data = {"synth": {"kind": "blobs", "classes": 3, "per_class": 40, "noise": float("inf")}}
+    cfg = config_file(tmp_path, data=data)
+    assert '"noise": Infinity' in open(cfg).read()
+    assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+    assert "noise must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_into_a_missing_directory_is_a_data_error(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     assert run_cli("synth", "blobs", "--per-class", "5", "--out", str(out)) == 2

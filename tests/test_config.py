@@ -1,16 +1,23 @@
 import json
 import re
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 
 from ile import ConfigError, MetricWeights, load_config
-from ile.augment import GaussianJitter, GridHFlip, Identity
+from ile.augment import AugmentationPlan, GaussianJitter, GridHFlip, GridShift, Identity
+from ile.classifier import TrainConfig
 from ile.config import (
+    ClassifierSpec,
+    ConfidenceSpec,
     DataSource,
+    EnsembleSpec,
+    LoopSpec,
     RunConfig,
     SplitSpec,
     SynthSpec,
+    ThresholdSpec,
     config_from_dict,
     config_to_dict,
 )
@@ -21,6 +28,7 @@ MINIMAL = {
 }
 IDENTITY = {"kind": "identity"}
 NAN = float("nan")  # what json.loads makes of a bare NaN
+INF = float("inf")
 
 
 def full_dict():
@@ -194,15 +202,14 @@ def test_data_source_needs_exactly_one_origin():
         ("confidence", {"weights": [0.5, True, 0.2]}, "confidence.weights"),
         ("ensemble", {"std": 1}, "ensemble.std"),
         ("seed", True, "seed"),
-        # transform parameters are checked where the transform is built
-        ("augment", [IDENTITY, {"kind": "gaussian_jitter", "sigma": "0.5"}], "gaussian_jitter"),
+        ("augment", [IDENTITY, {"kind": "gaussian_jitter", "sigma": "0.5"}], r"augment\[1\]\.sigma"),
         ("augment", [IDENTITY, {"kind": "gaussian_jitter", "sigma": -0.5}], "gaussian_jitter"),
-        ("augment", [IDENTITY, {"kind": "gaussian_jitter", "sigma": NAN}], "gaussian_jitter"),
-        ("augment", [IDENTITY, {"kind": "gaussian_jitter", "sigma": True}], "gaussian_jitter"),
-        ("augment", [IDENTITY, {"kind": "grid_shift", "rows": 5, "cols": 5, "dx": 0.5, "dy": 0}], "'grid_shift': dx"),
-        ("augment", [IDENTITY, {"kind": "grid_shift", "rows": 5, "cols": 5, "dx": 1, "dy": "1"}], "'grid_shift': dy"),
+        ("augment", [IDENTITY, {"kind": "gaussian_jitter", "sigma": NAN}], r"augment\[1\]\.sigma"),
+        ("augment", [IDENTITY, {"kind": "gaussian_jitter", "sigma": True}], r"augment\[1\]\.sigma"),
+        ("augment", [IDENTITY, {"kind": "grid_shift", "rows": 5, "cols": 5, "dx": 0.5, "dy": 0}], r"augment\[1\]\.dx"),
+        ("augment", [IDENTITY, {"kind": "grid_shift", "rows": 5, "cols": 5, "dx": 1, "dy": "1"}], r"augment\[1\]\.dy"),
         ("augment", [IDENTITY, {"kind": "grid_shift", "rows": 0, "cols": 5, "dx": 1, "dy": 0}], "'grid_shift': rows"),
-        ("augment", [IDENTITY, {"kind": "grid_hflip", "rows": 5, "cols": 2.0}], "'grid_hflip': cols"),
+        ("augment", [IDENTITY, {"kind": "grid_hflip", "rows": 5, "cols": 2.5}], r"augment\[1\]\.cols"),
         ("augment", [IDENTITY, {"kind": "grid_hflip", "rows": 5, "cols": 0}], "'grid_hflip': cols"),
         # NaN is no number for any float field
         ("confidence", {"epsilon": NAN}, "confidence.epsilon"),
@@ -234,11 +241,62 @@ def test_whole_numbers_coerce_to_the_field_type():
         MINIMAL,
         classifier={"train": {"epochs": 60.0, "learning_rate": 1}},
         confidence={"weights": [1, 0, 0]},
+        augment=[IDENTITY, {"kind": "grid_hflip", "rows": 5, "cols": 2.0}],
     )
     cfg = config_from_dict(raw)
     assert cfg.classifier.train.epochs == 60 and type(cfg.classifier.train.epochs) is int
     assert type(cfg.classifier.train.learning_rate) is float
     assert cfg.confidence.weights == MetricWeights(1.0, 0.0, 0.0)
+    flip = cfg.augment.transforms[1]
+    assert flip == GridHFlip(5, 2) and type(flip.cols) is int
+
+
+@pytest.mark.parametrize(
+    "section,kwargs,needle",
+    [
+        (ThresholdSpec, {"target_accuracy": 1.5}, "target_accuracy"),
+        (ThresholdSpec, {"refresh": "never"}, "refresh"),
+        (ThresholdSpec, {"admit_rule": "fuzzy"}, "admit rule"),
+        (LoopSpec, {"patience": 0}, "patience"),
+        (LoopSpec, {"max_iterations": -1}, "max_iterations"),
+        (EnsembleSpec, {"std": "robust"}, "std"),
+        (ConfidenceSpec, {"epsilon": 0.0}, "epsilon"),
+        (SplitSpec, {"labelled_per_class": 0, "validation_count": 5}, "labelled_per_class"),
+        (SynthSpec, {"kind": "blobs", "classes": 3, "per_class": 5, "noise": INF}, "noise"),
+        (DataSource, {"path": "x.csv", "format": "hdf5"}, "format"),
+        (DataSource, {}, "exactly one"),
+        (ClassifierSpec, {"architecture": "mlp"}, "hidden_units"),
+        (TrainConfig, {"epochs": 0}, "epochs"),
+        (GaussianJitter, {"sigma": -1.0}, "sigma"),
+        (GridShift, {"rows": 5, "cols": 0, "dx": 0, "dy": 0}, "cols"),
+    ],
+)
+def test_sections_built_in_python_are_checked_at_construction(section, kwargs, needle):
+    with pytest.raises(ConfigError, match=needle):
+        section(**kwargs)
+
+
+def test_readme_tour_config_with_a_bad_target_cannot_be_built():
+    # run_single takes a RunConfig as built; an out-of-range one never reaches it
+    with pytest.raises(ConfigError, match="target_accuracy"):
+        RunConfig(
+            data=DataSource(synth=SynthSpec("blobs", classes=3, per_class=400, noise=1.6)),
+            split=SplitSpec(labelled_per_class=5, validation_count=300),
+            classifier=ClassifierSpec(train=TrainConfig(epochs=60)),
+            augment=AugmentationPlan.from_transforms(
+                [Identity(), GaussianJitter(0.4), GaussianJitter(0.4)]
+            ),
+            confidence=ConfidenceSpec(weights=None),
+            threshold=ThresholdSpec(target_accuracy=1.5),
+            loop=LoopSpec(max_iterations=8),
+            seed=7,
+        )
+
+
+def test_built_sections_cannot_be_mutated():
+    cfg = config_from_dict(MINIMAL)
+    with pytest.raises(FrozenInstanceError):
+        cfg.classifier.train.epochs = 0
 
 
 def test_python_and_json_defaults_agree():

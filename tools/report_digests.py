@@ -12,6 +12,9 @@ relative, so the digests do not depend on where the directory is. A change
 that must leave every report byte-identical prints the same lines before
 and after; run the tool on both trees and compare with `diff`.
 
+The runs log at `ILE_LOG=error` unless the caller sets `ILE_LOG`, so that
+stderr shows only what went wrong.
+
 The configs are the three benchmark workloads of `bench/workloads.py`
 (read, not changed), the acceptance gate's blobs fixture
 (`tests/test_acceptance.py::fixture_config`), and variants of those that
@@ -34,6 +37,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import ile.cli
 from ile.datasets import save_table
@@ -135,9 +139,10 @@ def main(argv=None):
     parser.add_argument("--configs", nargs="+", choices=CONFIGS, default=list(CONFIGS))
     parser.add_argument("--seeds", nargs="+", type=int, default=list(SEEDS))
     args = parser.parse_args(argv)
-    for name in args.configs:
-        for seed in args.seeds:
-            print(name, seed, digest(name, seed), flush=True)
+    with mock.patch.dict(os.environ, {"ILE_LOG": os.environ.get("ILE_LOG", "error")}):
+        for name in args.configs:
+            for seed in args.seeds:
+                print(name, seed, digest(name, seed), flush=True)
     return 0
 
 
