@@ -33,15 +33,16 @@ plan = AugmentationPlan.identity_only()
 weights = MetricWeights.equal()
 
 # The pool is one sample set: ids, features X (n, d) and labels as arrays.
-# Score it as one block, pick the sample the model is most sure about and
-# the one it is least sure about, then compare their metric breakdowns.
+# Score it as one block, whose entries follow the pool's rows, pick the
+# sample the model is most sure about and the one it is least sure about,
+# then compare their metric breakdowns.
 pool = triple.unlabelled
 block = score_block(model, prototypes, plan, pool, seed=5)
 combined = combine(block.c_a, block.c_b, block.c_c, weights)
 order = np.argsort(combined, kind="stable")
 
 for tag, i in [("least confident", order[0]), ("most confident", order[-1])]:
-    print(f"{tag}: sample {block.ids[i]} at {np.round(pool.X[i], 2)}")
+    print(f"{tag}: sample {pool.ids[i]} at {np.round(pool.X[i], 2)}")
     print(f"  predicted class {block.y1[i]} (runner-up {block.y2[i]})")
     print(f"  c_a top probability      {block.c_a[i]:.3f}")
     print(f"  c_b margin over runner-up {block.c_b[i]:.3f}")

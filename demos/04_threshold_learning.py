@@ -49,12 +49,15 @@ hopeless = learn_threshold([0.99, 0.50], [False, True], 0.9)
 print(f"hopeless case -> {hopeless}")
 print()
 
-# Applying the threshold to fresh unlabelled scores keeps (id, label,
-# confidence) admission tuples; everything below the cut stays in the pool.
+# Applying the threshold to fresh unlabelled scores gives a mask over the
+# pool; the rows it keeps are the admissions, and everything below the cut
+# stays in the pool.
 pool_ids = np.array([101, 102, 103])
 pool_labels = np.array([0, 1, 0])
 pool_confidences = np.array([0.91, 0.84, 0.61])
 t_c = learn_threshold(confidences, correct, 0.8)
-ids, labels, confs = select_admissions(pool_ids, pool_labels, pool_confidences, t_c)
-admissions = list(zip(ids.tolist(), labels.tolist(), confs.tolist()))
+passes = select_admissions(pool_confidences, t_c)
+admissions = list(
+    zip(*(a[passes].tolist() for a in (pool_ids, pool_labels, pool_confidences)))
+)
 print(f"threshold {t_c:.2f} admits {len(admissions)} of {len(pool_ids)}: {admissions}")

@@ -90,17 +90,12 @@ class BlockScores:
     ``c_c`` is NaN there and callers skip the sample.
     """
 
-    ids: np.ndarray
     y1: np.ndarray
     y2: np.ndarray
     c_a: np.ndarray
     c_b: np.ndarray
     c_c: np.ndarray
     scorable: np.ndarray
-
-    def __getitem__(self, index):
-        """The entries selected by ``index`` (a mask, slice or index array)."""
-        return BlockScores(*(getattr(self, f.name)[index] for f in fields(self)))
 
     @classmethod
     def concatenate(cls, blocks):
@@ -109,7 +104,7 @@ class BlockScores:
         )
 
 
-def block_metrics(dist, prototypes, ids) -> BlockScores:
+def block_metrics(dist, prototypes) -> BlockScores:
     """The raw metrics of chosen distributions, one (C,) row per sample.
 
     ``y1`` and ``y2`` are the two most probable classes (ties go to the
@@ -127,7 +122,6 @@ def block_metrics(dist, prototypes, ids) -> BlockScores:
     # does not depend on the rest of the block
     c_c = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
     return BlockScores(
-        ids=ids,
         y1=y1,
         y2=y2,
         c_a=c_a,
@@ -146,10 +140,10 @@ def score_block(model, prototypes, plan, samples, seed, population_std=True):
     chosen = select_distribution(
         ensemble_posteriors(model, plan, samples, seed), population_std=population_std
     )
-    return block_metrics(chosen.distribution, prototypes, samples.ids)
+    return block_metrics(chosen.distribution, prototypes)
 
 
-# kept only as a hook for bench/tracing.py until ROADMAP item 1 removes it
+# kept only as a hook for bench/tracing.py until ROADMAP item 8 removes it
 def metrics_for_sample(model, prototypes, plan, sample, seed, population_std=True):
     """(y1, y2, c_a, c_b, c_c) of a one-row set; MissingPrototypeError if unscorable."""
     s = score_block(model, prototypes, plan, sample, seed, population_std=population_std)

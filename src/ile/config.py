@@ -11,8 +11,8 @@ itself a section, picked by its ``kind``. Every consumer module reads
 exactly one section.
 
 Every section checks its values' ranges in ``__post_init__`` and is
-frozen, so a config built in Python is checked exactly like one decoded
-from JSON, and no built config is invalid.
+frozen. Types are the decoder's check; a config built in Python meets it
+when ``loop.run_single`` or ``loop.run`` starts and re-decodes it.
 """
 
 import json

@@ -309,33 +309,33 @@ def split(samples, labelled_per_class, validation_count, seed) -> DatasetTriple:
     return DatasetTriple(replace(work, label=pool_label), samples[validation])
 
 
-def admit(triple, ids, labels, iteration):
-    """Move the pool samples ``ids`` to labelled with pseudo-labels ``labels``.
+def admit(triple, rows, labels, iteration):
+    """Label the chosen pool rows of the working table with pseudo-labels.
 
-    Returns a new DatasetTriple plus the AdmissionRecord. The new working
-    table gets fresh ``label`` and ``admitted`` columns and shares every
-    other array, so the input triple is not mutated. In the labelled view
-    the admitted rows follow every earlier row, in id order.
+    ``rows`` is a boolean mask over ``triple.work`` and ``labels`` holds one
+    label per chosen row, in row order. Returns a new DatasetTriple plus the
+    AdmissionRecord. The new working table gets fresh ``label`` and
+    ``admitted`` columns and shares every other array, so the input triple
+    is not mutated. In the labelled view the admitted rows follow every
+    earlier row, in id order.
     """
     if iteration < 1:
         raise DataError(f"admitting iteration {iteration} < 1")
-    ids = np.asarray(ids, dtype=np.int64)
+    work = triple.work
+    rows = np.asarray(rows)
     labels = np.asarray(labels, dtype=np.int64)
+    if rows.dtype != bool or rows.shape != work.ids.shape:
+        raise DataError(f"admission mask {rows.dtype}{rows.shape} for {len(work)} rows")
+    ids = work.ids[rows]
+    if labels.shape != ids.shape:
+        raise DataError(f"{labels.size} labels for {ids.size} admitted rows")
     if not ids.size:
         return triple, AdmissionRecord(admitted_ids=ids)
-    order = np.argsort(ids, kind="stable")
-    ids, labels = ids[order], labels[order]
-    duplicate = _duplicate_id(ids)
-    if duplicate is not None:
-        raise DataError(f"id {duplicate} admitted twice")
     if (labels < 0).any():
         raise DataError(f"id {ids[np.argmax(labels < 0)]} admitted without a label")
-    work = triple.work
-    outside = ~np.isin(ids, work.ids[work.label == UNKNOWN])
-    if outside.any():
-        raise DataError(f"id {ids[np.argmax(outside)]} is not in the unlabelled pool")
-
-    rows = np.searchsorted(work.ids, ids)
+    labelled = work.label[rows] != UNKNOWN
+    if labelled.any():
+        raise DataError(f"id {ids[np.argmax(labelled)]} is not in the unlabelled pool")
     label, admitted = work.label.copy(), work.admitted.copy()
     label[rows] = labels
     admitted[rows] = iteration

@@ -58,7 +58,7 @@ def ensemble_posteriors(model, plan, samples, seed):
     return predict_proba_batch(model, vectors.reshape(n * A, d)).reshape(n, A, model.C)
 
 
-# kept only as a hook for bench/tracing.py until ROADMAP item 1 removes it
+# kept only as a hook for bench/tracing.py until ROADMAP item 8 removes it
 def ensemble_predict(model, plan, sample, seed, population_std=True) -> EnsembleResult:
     """Score all augmentations of ``sample`` (a one-row set) and select the winner."""
     z = ensemble_posteriors(model, plan, sample, seed)[0]

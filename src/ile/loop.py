@@ -31,7 +31,7 @@ from .confidence import (
     score_block,
     weights_from_scored,
 )
-from .config import RunConfig, config_to_dict
+from .config import RunConfig, config_from_dict, config_to_dict
 from .datasets import (
     UNKNOWN,
     DatasetTriple,
@@ -191,26 +191,26 @@ def run_iteration(state, iteration_index, base_seed):
 
     # the training scores: every row of D_l as it was trained on
     in_train = (work.label != UNKNOWN) & scores.scorable
-    train = scores[in_train]
-    if not train.ids.size:
+    if not in_train.any():
         raise DataError("no training sample could be scored")
-    correct = train.y1 == work.label[in_train]
+    correct = scores.y1[in_train] == work.label[in_train]
 
     if cfg.confidence.weights is not None:
         weights = cfg.confidence.weights
     else:
-        weights = weights_from_scored(train.c_a, train.c_b, train.c_c, correct)
-
+        c_a, c_b, c_c = scores.c_a[in_train], scores.c_b[in_train], scores.c_c[in_train]
+        weights = weights_from_scored(c_a, c_b, c_c, correct)
+    # one confidence per row of the working table, NaN where it is unscorable
     mode, epsilon = cfg.confidence.combine_mode, cfg.confidence.epsilon
+    confidences = combine(scores.c_a, scores.c_b, scores.c_c, weights, mode, epsilon)
     strict = cfg.threshold.admit_rule == "open"
     if cfg.threshold.manual is not None:
         t_c = cfg.threshold.manual
     elif state.frozen_threshold is not None:
         t_c = state.frozen_threshold
     else:
-        confidences = combine(train.c_a, train.c_b, train.c_c, weights, mode, epsilon)
         target = cfg.threshold.target_accuracy
-        t_c = learn_threshold(confidences, correct, target, strict)
+        t_c = learn_threshold(confidences[in_train], correct, target, strict)
     frozen = state.frozen_threshold
     if cfg.threshold.refresh == "freeze_after_first" and frozen is None:
         frozen = t_c
@@ -222,10 +222,9 @@ def run_iteration(state, iteration_index, base_seed):
     in_pool = triple.work.label == UNKNOWN
     du_size = int(in_pool.sum())
     dl_size = len(work) - du_size
-    pool = scores[in_pool & scores.scorable]
-    confidences = combine(pool.c_a, pool.c_b, pool.c_c, weights, mode, epsilon)
-    ids, labels, _ = select_admissions(pool.ids, pool.y1, confidences, t_c, strict)
-    triple, admission_record = admit(triple, ids, labels, iteration_index)
+    chosen = in_pool & scores.scorable
+    chosen[chosen] = select_admissions(confidences[chosen], t_c, strict)
+    triple, admission_record = admit(triple, chosen, scores.y1[chosen], iteration_index)
     work = triple.work
     pseudo = work.admitted != 0  # the pseudo-labels now in D_l
     cumulative = label_accuracy(work.label[pseudo], work.true_label[pseudo])
@@ -236,7 +235,7 @@ def run_iteration(state, iteration_index, base_seed):
         iteration=iteration_index,
         dl_size=dl_size,
         du_size=du_size,
-        added_count=len(ids),
+        added_count=int(chosen.sum()),
         addition_accuracy=admission_record.addition_accuracy,
         cumulative_addition_accuracy=cumulative,
         val_error=val_error,
@@ -292,6 +291,8 @@ def _load_samples(cfg):
 
 def run_single(cfg, samples, base_seed) -> RunReport:
     """One full run on pre-loaded samples: the loop and its benchmark."""
+    # re-decoded, so a config built in Python meets the JSON type rules
+    cfg = config_from_dict(config_to_dict(cfg))
     # no name holds the split: each iteration's working sets replace it
     state = LoopState(
         config=cfg,
@@ -336,6 +337,7 @@ def run(cfg, base_seed=None, output_dir=None) -> dict:
     """
     if base_seed is not None:
         cfg = replace(cfg, seed=base_seed)
+    cfg = config_from_dict(config_to_dict(cfg))  # as run_single, before any work
     out_dir = output_dir if output_dir is not None else cfg.output_dir
     if out_dir is None:
         raise ConfigError("no output directory: set output_dir or pass --out")

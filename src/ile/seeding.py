@@ -3,8 +3,8 @@
 Every random stream in a run is derived from the single base seed by
 mixing in context (iteration number, purpose tag, sample id, ...) with a
 splitmix64 finalizer. Derivation is schedule-independent: the stream for
-(seed, sample, transform) does not depend on how work is ordered or
-distributed across workers.
+(seed, sample, transform) does not depend on the order in which samples
+are scored or on the block a sample is scored in.
 """
 
 import hashlib

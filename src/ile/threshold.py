@@ -60,7 +60,7 @@ def threshold_accuracy(confidences, correct, t_c, strict=False):
     confidence and whether the predicted label is right.
     """
     confidences, correct = _as_arrays(confidences, correct)
-    passes = confidences > t_c if strict else confidences >= t_c
+    passes = select_admissions(confidences, t_c, strict)
     total = int(passes.sum())
     if total == 0:
         return None
@@ -85,12 +85,12 @@ def learn_threshold(confidences, correct, target_accuracy, strict=False) -> floa
     return float(candidates[np.nonzero(ok)[0][-1]])
 
 
-def select_admissions(ids, labels, confidences, t_c, strict=False):
-    """The (ids, labels, confidences) of the samples passing ``t_c``.
+def select_admissions(confidences, t_c, strict=False):
+    """Mask of the samples whose combined confidence passes ``t_c``.
 
-    The arguments are per-sample arrays of ids, predicted labels and
-    combined confidences; the selected entries keep their input order.
+    ``confidences`` is a per-sample array; a sample passes with a
+    confidence of at least ``t_c`` under the closed rule and above it
+    under the open (``strict``) rule.
     """
     confidences = np.asarray(confidences, dtype=np.float64)
-    passes = confidences > t_c if strict else confidences >= t_c
-    return np.asarray(ids)[passes], np.asarray(labels)[passes], confidences[passes]
+    return confidences > t_c if strict else confidences >= t_c

@@ -136,7 +136,7 @@ def test_confidence_worked_examples_and_ranges():
     table = PrototypeTable(
         table=np.array([[0.6, 0.4], [0.1, 0.9]]), counts=np.array([1, 1])
     )
-    cc = float(block_metrics(np.array([[0.8, 0.2]]), table, [0]).c_c[0])
+    cc = float(block_metrics(np.array([[0.8, 0.2]]), table).c_c[0])
     assert cc == pytest.approx(0.2828, abs=1e-4)
     assert cc == pytest.approx(math.sqrt(0.08), abs=1e-6)
     combined = combine(0.7, 0.5, cc, MetricWeights.equal())
@@ -152,7 +152,7 @@ def test_confidence_worked_examples_and_ranges():
         protos = rng.uniform(1e-3, 1.0, size=(C, C))
         protos /= protos.sum(axis=1, keepdims=True)
         proto_table = PrototypeTable(table=protos, counts=np.ones(C, dtype=np.int64))
-        s = block_metrics(dist[None], proto_table, [0])
+        s = block_metrics(dist[None], proto_table)
         c_a, c_b, c_c = s.c_a[0], s.c_b[0], s.c_c[0]
         assert 1.0 / C - 1e-12 <= c_a <= 1.0 + 1e-12
         assert -1e-12 <= c_b <= c_a + 1e-12

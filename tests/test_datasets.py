@@ -29,11 +29,11 @@ def split_rows(*rows):
 def test_pseudo_sample_requires_label_and_iteration():
     triple = toy_triple()
     with pytest.raises(DataError, match="iteration 0"):
-        admit(triple, [2], [0], iteration=0)
+        admit(triple, rows_of(triple, [2]), [0], iteration=0)
     with pytest.raises(DataError, match="iteration 0"):
-        admit(triple, [], [], iteration=0)
+        admit(triple, rows_of(triple, []), [], iteration=0)
     with pytest.raises(DataError, match="id 2 admitted without a label"):
-        admit(triple, [2], [-1], iteration=1)
+        admit(triple, rows_of(triple, [2]), [-1], iteration=1)
 
 
 def test_clean_sample_label_must_match_truth():
@@ -336,6 +336,11 @@ def toy_triple():
     return DatasetTriple(samples_of(labelled, unlabelled), make_sample(8, [8.0], 0))
 
 
+def rows_of(triple, ids):
+    """The admission mask over ``triple.work`` that chooses ``ids``."""
+    return np.isin(triple.work.ids, ids)
+
+
 def views(triple):
     """The ids, labels and admitting iterations of D_l, D_u and validation."""
     return [
@@ -347,7 +352,7 @@ def views(triple):
 def test_admit_moves_samples_and_scores_accuracy():
     triple = toy_triple()
     # ids 2,4 are truly 0; ids 3,5 truly 1. Label 3 of 4 correctly.
-    new, record = admit(triple, [2, 3, 4, 5], [0, 1, 0, 0], iteration=2)
+    new, record = admit(triple, rows_of(triple, [2, 3, 4, 5]), [0, 1, 0, 0], iteration=2)
     assert record.addition_accuracy == 0.75
     assert sorted(record.admitted_ids.tolist()) == [2, 3, 4, 5]
     assert_partition(new, TOY_IDS)
@@ -365,7 +370,7 @@ def test_admit_moves_samples_and_scores_accuracy():
 
 def test_admit_empty_is_identity():
     triple = toy_triple()
-    new, record = admit(triple, [], [], iteration=1)
+    new, record = admit(triple, rows_of(triple, []), [], iteration=1)
     assert new is triple
     assert record.admitted_ids.tolist() == []
     assert record.addition_accuracy is None
@@ -373,19 +378,22 @@ def test_admit_empty_is_identity():
 
 def test_admit_rejects_ids_outside_pool():
     triple = toy_triple()
-    with pytest.raises(DataError, match="not in the unlabelled pool"):
-        admit(triple, [0], [0], iteration=1)  # id 0 already labelled
-    with pytest.raises(DataError, match="not in the unlabelled pool"):
-        admit(triple, [99], [0], iteration=1)
-    with pytest.raises(DataError, match="twice"):
-        admit(triple, [2, 2], [0, 1], iteration=1)
+    with pytest.raises(DataError, match="id 0 is not in the unlabelled pool"):
+        admit(triple, rows_of(triple, [0]), [0], iteration=1)  # id 0 already labelled
+    # a mask names each row of the working table once, and nothing else
+    with pytest.raises(DataError, match="admission mask"):
+        admit(triple, np.zeros(len(triple.work) + 1, dtype=bool), [], iteration=1)
+    with pytest.raises(DataError, match="admission mask"):
+        admit(triple, np.flatnonzero(rows_of(triple, [2])), [0], iteration=1)
+    with pytest.raises(DataError, match="2 labels for 1 admitted rows"):
+        admit(triple, rows_of(triple, [2]), [0, 1], iteration=1)
 
 
 def test_admit_sequence_conserves_and_grows():
     triple = toy_triple()
     sizes = [len(triple.labelled)]
     for it, sid in enumerate([4, 3, 2], start=1):
-        triple, _ = admit(triple, [sid], [sid % 2], iteration=it)
+        triple, _ = admit(triple, rows_of(triple, [sid]), [sid % 2], iteration=it)
         assert_partition(triple, TOY_IDS)
         sizes.append(len(triple.labelled))
     assert sizes == sorted(sizes)
@@ -395,7 +403,7 @@ def test_admit_sequence_conserves_and_grows():
 
 def test_release_pseudo_returns_admissions_to_pool():
     triple = toy_triple()
-    triple, _ = admit(triple, [2, 5], [0, 0], iteration=1)
+    triple, _ = admit(triple, rows_of(triple, [2, 5]), [0, 0], iteration=1)
     released = release_pseudo(triple)
     assert len(released.labelled) == 2  # the clean originals
     pool = released.unlabelled
@@ -411,7 +419,7 @@ def test_release_pseudo_returns_admissions_to_pool():
 def test_admit_and_release_leave_their_input_untouched():
     triple = toy_triple()
     before = views(triple)
-    admitted, _ = admit(triple, [2, 5], [0, 0], iteration=1)
+    admitted, _ = admit(triple, rows_of(triple, [2, 5]), [0, 0], iteration=1)
     assert views(triple) == before
     before = views(admitted)
     release_pseudo(admitted)

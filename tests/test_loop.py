@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ile import ConfigError, DataError, RunConfig, TrainConfig
+from ile import ConfigError, DataError, RunConfig, Samples, TrainConfig, generate
 from ile.augment import AugmentationPlan, GaussianJitter, Identity
 from ile.config import (
     ClassifierSpec,
@@ -29,6 +30,7 @@ from ile.loop import (
     run_single,
     should_stop,
 )
+from ile.confidence import build_prototypes
 from ile.seeding import derive_seed
 
 from conftest import assert_partition
@@ -219,6 +221,50 @@ def test_addition_accuracy_counts_only_rows_with_ground_truth():
     assert record.cumulative_addition_accuracy == expected
 
 
+def label_gap_samples(seed):
+    """Blobs, 4 classes x 200 rows, with class 2 relabelled 3: no row is class 2."""
+    s = generate("blobs", 4, 200, 1.3, seed=seed)
+    return Samples.clean(s.ids, s.X, np.where(s.true_label == 2, 3, s.true_label))
+
+
+# iteration 1 finds 281, 137, 131 and 256 of the 700 working rows unscorable
+@pytest.mark.parametrize("seed", [0, 1, 3, 4])
+def test_pool_rows_without_a_prototype_are_never_admitted(seed):
+    # the model has an output for class 2 but no prototype, so after 5
+    # epochs some rows are predicted as 2 and cannot be scored
+    cfg = RunConfig(
+        data=DataSource(path="label_gap.csv"),  # not read: the rows are passed in
+        split=SplitSpec(labelled_per_class=10, validation_count=100),
+        classifier=ClassifierSpec(train=TrainConfig(epochs=5)),
+        augment=AugmentationPlan.from_transforms([Identity(), GaussianJitter(0.5)]),
+        confidence=ConfidenceSpec(weights=None),
+        threshold=ThresholdSpec(target_accuracy=0.95, manual=-math.inf),
+    )
+    from ile.datasets import split as split_samples
+
+    triple = split_samples(
+        label_gap_samples(seed), 10, 100, seed=derive_seed(seed, "split")
+    )
+    # iteration 1's scores, with the seeds run_iteration uses
+    model, _ = loop._train(cfg, triple.labelled, triple.validation, seed, 1)
+    prototypes = build_prototypes(model, triple.labelled)
+    assert prototypes.counts.tolist() == [10, 10, 0, 10]
+    scores = loop._score(
+        triple.work, model, prototypes, cfg, derive_seed(seed, 1, "score")
+    )
+    pool = triple.work.label == -1
+    scorable = scores.y1 != 2
+    np.testing.assert_array_equal(scores.scorable, scorable)
+    assert (pool & ~scorable).any(), "expected unscorable pool rows"
+
+    state, record = run_iteration(LoopState(config=cfg, triple=triple), 1, seed)
+    admitted = state.triple.work.admitted == 1
+    # a cut of -inf admits every scorable pool row, and only those
+    np.testing.assert_array_equal(admitted, pool & scorable)
+    assert record.added_count == int((pool & scorable).sum())
+    np.testing.assert_array_equal(state.triple.work.label[admitted], scores.y1[admitted])
+
+
 def check_row_bookkeeping(triple, iteration, rescore):
     """Labels and provenance of every row of ``triple`` after ``iteration``."""
     v = triple.validation
@@ -394,6 +440,30 @@ def test_unwritable_artifacts_are_a_data_error(tmp_path):
     (out / "report.json").mkdir(parents=True)  # a directory where the file goes
     with pytest.raises(DataError, match="cannot write .*report.json"):
         run(small_cfg(loop=LoopSpec(max_iterations=1)), output_dir=str(out))
+
+
+@pytest.mark.parametrize(
+    "over, key",
+    [
+        ({"loop": LoopSpec(rescore_admitted="false")}, "loop.rescore_admitted"),
+        ({"threshold": ThresholdSpec(manual=float("nan"))}, "threshold.manual"),
+        (
+            {"classifier": ClassifierSpec(train=TrainConfig(epochs=2.5))},
+            "classifier.train.epochs",
+        ),
+        ({"split": SplitSpec(2.5, 10)}, "split.labelled_per_class"),
+    ],
+    ids=["string_flag", "nan_cut", "fractional_epochs", "fractional_split"],
+)
+def test_python_built_configs_are_type_checked_when_a_run_starts(tmp_path, over, key):
+    # each section builds (its ranges hold); the JSON rules reject its type
+    cfg = small_cfg(**over)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        run_report(cfg)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        run(cfg, output_dir=str(out))
+    assert not out.exists()
 
 
 def test_run_requires_an_output_directory():

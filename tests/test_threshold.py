@@ -159,9 +159,10 @@ def pool_of(confidences, labels=None):
     )
 
 
-def admitted(*args, **kwargs):
-    """select_admissions' (ids, labels, confidences) arrays as row tuples."""
-    return list(zip(*(a.tolist() for a in select_admissions(*args, **kwargs))))
+def admitted(ids, labels, confidences, t_c, strict=False):
+    """The (id, label, confidence) rows that select_admissions' mask keeps."""
+    passes = select_admissions(confidences, t_c, strict)
+    return list(zip(*(a[passes].tolist() for a in (ids, labels, confidences))))
 
 
 def test_infinite_cut_admits_nothing():
@@ -184,6 +185,6 @@ def test_admissions_match_a_filter_and_ignore_order():
 
 def test_admissions_carry_label_and_confidence():
     rows = (np.array([5]), np.array([3]), np.array([0.9]))
-    got = select_admissions(*rows, 0.5)
+    got = select_admissions(rows[2], 0.5)
     assert admitted(*rows, 0.5) == [(5, 3, 0.9)]
-    assert [a.dtype.kind for a in got] == ["i", "i", "f"]
+    assert got.dtype == bool and got.shape == (1,)
