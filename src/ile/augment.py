@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_numbers
 from .seeding import rng
 
 
@@ -37,6 +37,7 @@ class GaussianJitter:
     sigma: float
 
     def __post_init__(self):
+        check_numbers(self)
         if not math.isfinite(self.sigma) or self.sigma < 0:
             raise ConfigError(
                 f"transform {self.kind!r}: sigma must be a finite number >= 0, "
@@ -53,7 +54,8 @@ class GaussianJitter:
 
 
 def _check_grid(t):
-    """A grid has at least one row and one column."""
+    """A grid transform's parameters are numbers; it has a row and a column."""
+    check_numbers(t)
     for name in ("rows", "cols"):
         value = getattr(t, name)
         if value < 1:

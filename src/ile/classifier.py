@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, StateError, TrainingError
+from .errors import ConfigError, DataError, StateError, TrainingError, check_numbers
 from .seeding import rng
 
 SOFTMAX_REGRESSION = "softmax_regression"
@@ -25,6 +25,7 @@ class TrainConfig:
     early_stop_patience: int | None = None
 
     def __post_init__(self):
+        check_numbers(self)
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.learning_rate <= 0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .classifier import predict_proba_batch
 from .ensemble import ensemble_posteriors, select_distribution
-from .errors import ConfigError, DataError, MissingPrototypeError
+from .errors import ConfigError, DataError, MissingPrototypeError, check_numbers
 
 COMBINE_MODES = ("bounded", "reciprocal")
 
@@ -39,6 +39,7 @@ class MetricWeights:
     w_c: float
 
     def __post_init__(self):
+        check_numbers(self)
         if self.w_a < 0 or self.w_b < 0 or self.w_c < 0:
             raise ConfigError("metric weights must be non-negative")
         if self.w_a + self.w_b + self.w_c <= 0:

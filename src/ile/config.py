@@ -10,9 +10,10 @@ weights) carry a codec in their metadata; each transform in the plan is
 itself a section, picked by its ``kind``. Every consumer module reads
 exactly one section.
 
-Every section checks its values' ranges in ``__post_init__`` and is
-frozen. Types are the decoder's check; a config built in Python meets it
-when ``loop.run_single`` or ``loop.run`` starts and re-decodes it.
+Every section checks its values' ranges in ``__post_init__``, number
+fields first (``errors.check_numbers``), and is frozen. Other types are
+the decoder's check; a config built in Python meets it when
+``loop.run_single`` or ``loop.run`` starts and re-decodes it.
 """
 
 import json
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple
 from .augment import TRANSFORMS, AugmentationPlan
 from .classifier import SOFTMAX_REGRESSION, TrainConfig, check_architecture
 from .confidence import COMBINE_MODES, MetricWeights
-from .errors import ConfigError
+from .errors import ConfigError, check_numbers
 from .synth import check_spec
 
 REFRESH_POLICIES = ("every_iteration", "freeze_after_first")
@@ -100,6 +101,7 @@ class SynthSpec:
     noise: float = 0.0
 
     def __post_init__(self):
+        check_numbers(self)
         check_spec(self.kind, self.classes, self.per_class, self.noise)
 
 
@@ -122,6 +124,7 @@ class SplitSpec:
     validation_count: int
 
     def __post_init__(self):
+        check_numbers(self)
         if self.labelled_per_class < 1:
             raise ConfigError("labelled_per_class must be >= 1")
         if self.validation_count < 0:
@@ -135,6 +138,7 @@ class ClassifierSpec:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
+        check_numbers(self)
         check_architecture(self.architecture, self.hidden_units)
 
 
@@ -158,6 +162,7 @@ class ConfidenceSpec:
     epsilon: float = 1e-6
 
     def __post_init__(self):
+        check_numbers(self)
         if self.combine_mode not in COMBINE_MODES:
             raise ConfigError(f"unknown combine mode {self.combine_mode!r}")
         if self.epsilon <= 0:
@@ -172,6 +177,7 @@ class ThresholdSpec:
     admit_rule: str = "closed"
 
     def __post_init__(self):
+        check_numbers(self)
         if not 0 < self.target_accuracy <= 1:
             raise ConfigError("target_accuracy must be in (0, 1]")
         if self.refresh not in REFRESH_POLICIES:
@@ -188,6 +194,7 @@ class LoopSpec:
     rescore_admitted: bool = False
 
     def __post_init__(self):
+        check_numbers(self)
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be >= 0")
         if self.patience < 1:

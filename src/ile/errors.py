@@ -4,7 +4,9 @@ The CLI maps these onto exit codes: ConfigError -> 1 (usage),
 DataError -> 2, everything else -> 3.
 """
 
+import numbers
 from contextlib import contextmanager
+from dataclasses import fields
 
 
 class IleError(Exception):
@@ -32,6 +34,23 @@ class MissingPrototypeError(DataError):
 
     Signals that a sample cannot be scored this iteration; callers skip it.
     """
+
+
+def check_numbers(section):
+    """Raise ConfigError unless each int or float field of ``section`` holds a number.
+
+    A field annotated ``X | None`` may also hold None. Sections call this
+    before their range checks, which would otherwise raise a bare TypeError.
+    """
+    for f in fields(section):
+        kinds = getattr(f.type, "__args__", (f.type,))
+        value = getattr(section, f.name)
+        if not {int, float} & set(kinds) or (value is None and type(None) in kinds):
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(
+                f"{type(section).__name__}.{f.name} must be a number, got {value!r}"
+            )
 
 
 @contextmanager

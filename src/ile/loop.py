@@ -31,15 +31,8 @@ from .confidence import (
     score_block,
     weights_from_scored,
 )
-from .config import RunConfig, config_from_dict, config_to_dict
-from .datasets import (
-    UNKNOWN,
-    DatasetTriple,
-    admit,
-    label_accuracy,
-    load_table,
-    release_pseudo,
-)
+from .config import config_from_dict, config_to_dict
+from .datasets import UNKNOWN, admit, label_accuracy, load_table, release_pseudo
 from .errors import ConfigError, DataError, writing
 from .seeding import derive_seed
 from .synth import generate
@@ -83,13 +76,6 @@ class RunReport:
     benchmark_val_error: float | None
     final_val_error: float | None
     improvement: float | None
-
-
-@dataclass
-class LoopState:
-    config: RunConfig
-    triple: DatasetTriple
-    frozen_threshold: float | None = None
 
 
 # the timed stages of one iteration, in order; metrics.csv has a
@@ -171,11 +157,16 @@ def _score(work, model, prototypes, cfg, seed):
 # One iteration
 # ---------------------------------------------------------------------------
 
-def run_iteration(state, iteration_index, base_seed):
-    """Train, score, admit; returns (new state, IterationRecord)."""
-    cfg = state.config
+def run_iteration(cfg, triple, records, base_seed):
+    """One iteration of the loop on ``triple``; returns (new triple, record).
+
+    ``records`` are the run's earlier IterationRecords, in order, and are not
+    changed: this is iteration ``len(records) + 1``. The admission cut is the
+    manual threshold if one is set, else iteration 1's cut once the refresh
+    policy has frozen it, else learned on this iteration's training scores.
+    """
+    iteration_index = len(records) + 1
     clock = _StageClock()
-    triple = state.triple
     labelled = triple.labelled
 
     model, val_error = _train(
@@ -206,14 +197,11 @@ def run_iteration(state, iteration_index, base_seed):
     strict = cfg.threshold.admit_rule == "open"
     if cfg.threshold.manual is not None:
         t_c = cfg.threshold.manual
-    elif state.frozen_threshold is not None:
-        t_c = state.frozen_threshold
+    elif records and cfg.threshold.refresh == "freeze_after_first":
+        t_c = records[0].threshold
     else:
         target = cfg.threshold.target_accuracy
         t_c = learn_threshold(confidences[in_train], correct, target, strict)
-    frozen = state.frozen_threshold
-    if cfg.threshold.refresh == "freeze_after_first" and frozen is None:
-        frozen = t_c
     clock.lap("weights_threshold")
 
     if cfg.loop.rescore_admitted:
@@ -230,7 +218,6 @@ def run_iteration(state, iteration_index, base_seed):
     cumulative = label_accuracy(work.label[pseudo], work.true_label[pseudo])
     clock.lap("admit")
 
-    new_state = replace(state, triple=triple, frozen_threshold=frozen)
     record = IterationRecord(
         iteration=iteration_index,
         dl_size=dl_size,
@@ -254,7 +241,7 @@ def run_iteration(state, iteration_index, base_seed):
         f"{val_error:.4f}" if val_error is not None else "n/a",
         f"{t_c:.4f}" if math.isfinite(t_c) else "inf",
     )
-    return new_state, record
+    return triple, record
 
 
 def should_stop(history, config) -> bool:
@@ -293,26 +280,21 @@ def run_single(cfg, samples, base_seed) -> RunReport:
     """One full run on pre-loaded samples: the loop and its benchmark."""
     # re-decoded, so a config built in Python meets the JSON type rules
     cfg = config_from_dict(config_to_dict(cfg))
-    # no name holds the split: each iteration's working sets replace it
-    state = LoopState(
-        config=cfg,
-        triple=datasets.split(
-            samples,
-            cfg.split.labelled_per_class,
-            cfg.split.validation_count,
-            seed=derive_seed(base_seed, "split"),
-        ),
+    triple = datasets.split(
+        samples,
+        cfg.split.labelled_per_class,
+        cfg.split.validation_count,
+        seed=derive_seed(base_seed, "split"),
     )
     records = []
     while not should_stop(records, cfg):
-        state, record = run_iteration(state, len(records) + 1, base_seed)
+        triple, record = run_iteration(cfg, triple, records, base_seed)
         records.append(record)
 
     # the labelled-only baseline is iteration 1's model: same seeds, same data
     if records:
         benchmark, final = records[0].val_error, records[-1].val_error
     else:
-        triple = state.triple
         _, benchmark = _train(cfg, triple.labelled, triple.validation, base_seed, 1)
         final = benchmark
     improvement = (

@@ -1,9 +1,11 @@
 """Accuracy-constrained admission thresholds.
 
-The threshold is learned by sweeping the distinct confidence values observed
-on labelled training data and keeping the smallest value whose pass-set label
-accuracy meets the target. Learning on training data is deliberate: the model
-is most confident on samples it has seen, which makes the learned cut-off
+A sample passes a cut with a confidence of at least the cut under the
+closed admission rule, and above it under the open rule. The threshold is
+learned by sweeping the distinct confidence values observed on labelled
+training data and keeping the smallest value whose pass-set label accuracy
+meets the target. Learning on training data is deliberate: the model is
+most confident on samples it has seen, which makes the learned cut-off
 conservative when transferred to the unlabelled pool. If no candidate meets
 the target the sentinel +inf admits nothing.
 """
@@ -13,32 +15,6 @@ import math
 import numpy as np
 
 from .errors import DataError
-
-
-def _pass_counts(confidences, correct, strict):
-    """Pass-set size and correct count at every distinct candidate value.
-
-    Returns (candidates desc, k, num_correct) where k[i] is the number of
-    samples passing candidate i under the admit rule.
-    """
-    order = np.argsort(-confidences, kind="stable")
-    c_sorted = confidences[order]
-    cum_correct = np.cumsum(correct[order])
-    n = len(c_sorted)
-    is_last = np.empty(n, dtype=bool)
-    is_last[:-1] = c_sorted[:-1] != c_sorted[1:]
-    is_last[-1] = True
-    last_idx = np.nonzero(is_last)[0]
-    candidates = c_sorted[last_idx]
-    if strict:
-        # conf > candidate: everything before the candidate's first occurrence
-        first_idx = np.concatenate(([0], last_idx[:-1] + 1))
-        k = first_idx
-        num_correct = np.where(k > 0, cum_correct[np.maximum(k - 1, 0)], 0)
-    else:
-        k = last_idx + 1
-        num_correct = cum_correct[last_idx]
-    return candidates, k, num_correct
 
 
 def _as_arrays(confidences, correct):
@@ -75,14 +51,20 @@ def learn_threshold(confidences, correct, target_accuracy, strict=False) -> floa
     successes. Returns +inf when no candidate qualifies.
     """
     confidences, correct = _as_arrays(confidences, correct)
-    candidates, k, num_correct = _pass_counts(confidences, correct, strict)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        q = np.where(k > 0, num_correct / np.maximum(k, 1), np.nan)
-    ok = (k > 0) & (q >= target_accuracy)
+    order = np.argsort(-confidences, kind="stable")
+    c_sorted = confidences[order]
+    hits = np.cumsum(correct[order])
+    # each candidate's last copy in descending order: it passes rows 0..last
+    last = np.flatnonzero(np.append(c_sorted[:-1] != c_sorted[1:], True))
+    ok = hits[last] / (last + 1) >= target_accuracy
+    if strict:
+        # under ">" candidate i passes what candidate i-1 passes under ">=",
+        # and the largest candidate passes nothing
+        ok = np.append(False, ok[:-1])
     if not ok.any():
         return math.inf
     # candidates are in descending order; the smallest qualifying one is last
-    return float(candidates[np.nonzero(ok)[0][-1]])
+    return float(c_sorted[last[ok][-1]])
 
 
 def select_admissions(confidences, t_c, strict=False):

@@ -43,7 +43,7 @@ from ile.config import (
 from ile.confidence import MetricWeights, PrototypeTable, block_metrics, combine
 from ile.datasets import split as split_samples
 from ile.ensemble import select_distribution
-from ile.loop import LoopState, run_iteration, run_single
+from ile.loop import run_iteration, run_single
 from ile.seeding import derive_seed
 from ile.synth import generate
 from ile.threshold import learn_threshold
@@ -268,11 +268,12 @@ def test_conservation_invariants_hold_every_iteration(fixture_reports):
         cfg.split.validation_count,
         seed=derive_seed(cfg.seed, "split"),
     )
-    state = LoopState(config=cfg, triple=triple)
+    records = []
     for it in range(1, 4):
-        state, record = run_iteration(state, it, cfg.seed)
-        assert_partition(state.triple, samples.ids)
-        labelled = state.triple.labelled
+        triple, record = run_iteration(cfg, triple, records, cfg.seed)
+        records.append(record)
+        assert_partition(triple, samples.ids)
+        labelled = triple.labelled
         clean = labelled.admitted == 0
         assert (labelled.label[clean] == labelled.true_label[clean]).all()
     print("\nconservation held on all fixture runs and a stepped re-run")

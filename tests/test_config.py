@@ -276,6 +276,31 @@ def test_sections_built_in_python_are_checked_at_construction(section, kwargs, n
         section(**kwargs)
 
 
+# sections built in Python with a non-number where a number belongs
+NON_NUMBERS = {
+    "ThresholdSpec.target_accuracy": lambda: ThresholdSpec(target_accuracy="0.9"),
+    "SplitSpec.labelled_per_class": lambda: SplitSpec("5", 10),
+    "LoopSpec.max_iterations": lambda: LoopSpec(max_iterations="3"),
+    "LoopSpec.patience": lambda: LoopSpec(patience=None),
+    "TrainConfig.epochs": lambda: TrainConfig(epochs="2"),
+    "TrainConfig.early_stop_patience": lambda: TrainConfig(early_stop_patience="2"),
+    "ConfidenceSpec.epsilon": lambda: ConfidenceSpec(epsilon="1"),
+    "GaussianJitter.sigma": lambda: GaussianJitter("0.5"),
+    "GridShift.cols": lambda: GridShift(5, "5", 0, 0),
+    "MetricWeights.w_a": lambda: MetricWeights("1", 1, 1),
+    "SynthSpec.classes": lambda: SynthSpec("blobs", "3", 10),
+    "SynthSpec.noise": lambda: SynthSpec("blobs", 3, 10, "0.5"),
+    "ClassifierSpec.hidden_units": lambda: ClassifierSpec("mlp", "8"),
+}
+
+
+@pytest.mark.parametrize("key", NON_NUMBERS)
+def test_a_non_number_built_in_python_is_a_config_error_naming_its_field(key):
+    # not a bare TypeError from the range check's comparison
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be a number"):
+        NON_NUMBERS[key]()
+
+
 def test_readme_tour_config_with_a_bad_target_cannot_be_built():
     # run_single takes a RunConfig as built; an out-of-range one never reaches it
     with pytest.raises(ConfigError, match="target_accuracy"):

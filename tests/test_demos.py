@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in this checkout."""
+"""Every demo script runs to completion against the package in this checkout
+and prints the same stdout each time it runs."""
 
 import os
 import subprocess
@@ -17,12 +18,19 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    # twice, each from its own directory, so no path or stray state shows
+    stdout = []
+    for name in ("first", "second"):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, str(demo)],
+            cwd=cwd,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        stdout.append(proc.stdout)
+    assert stdout[0] == stdout[1]

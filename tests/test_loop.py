@@ -23,7 +23,6 @@ from ile.config import (
 from ile import loop
 from ile.loop import (
     IterationRecord,
-    LoopState,
     _report_to_dict,
     run,
     run_iteration,
@@ -191,14 +190,15 @@ def test_step_by_step_invariants_hold():
 
     base_seed = 3
     triple = split_samples(samples, 5, 30, seed=derive_seed(base_seed, "split"))
-    state = LoopState(config=cfg, triple=triple)
-    last_dl = len(state.triple.labelled)
+    last_dl = len(triple.labelled)
+    records = []
     for it in range(1, 4):
-        state, record = run_iteration(state, it, base_seed)
-        assert_partition(state.triple, samples.ids)  # after every iteration
-        assert len(state.triple.labelled) >= last_dl
-        last_dl = len(state.triple.labelled)
-        assert record.added_count == (state.triple.labelled.admitted == it).sum()
+        triple, record = run_iteration(cfg, triple, records, base_seed)
+        records.append(record)
+        assert_partition(triple, samples.ids)  # after every iteration
+        assert len(triple.labelled) >= last_dl
+        last_dl = len(triple.labelled)
+        assert record.added_count == (triple.labelled.admitted == it).sum()
 
 
 def test_addition_accuracy_counts_only_rows_with_ground_truth():
@@ -210,9 +210,8 @@ def test_addition_accuracy_counts_only_rows_with_ground_truth():
     from ile.datasets import split as split_samples
 
     triple = split_samples(samples, 5, 30, seed=derive_seed(base_seed, "split"))
-    state = LoopState(config=cfg, triple=triple)
-    state, record = run_iteration(state, 1, base_seed)
-    admitted = state.triple.labelled[state.triple.labelled.admitted == 1]
+    triple, record = run_iteration(cfg, triple, [], base_seed)
+    admitted = triple.labelled[triple.labelled.admitted == 1]
     judged = admitted[admitted.true_label != -1]
     assert len(judged) < len(admitted) == record.added_count
     assert len(judged), "expected admitted rows with ground truth"
@@ -257,12 +256,12 @@ def test_pool_rows_without_a_prototype_are_never_admitted(seed):
     np.testing.assert_array_equal(scores.scorable, scorable)
     assert (pool & ~scorable).any(), "expected unscorable pool rows"
 
-    state, record = run_iteration(LoopState(config=cfg, triple=triple), 1, seed)
-    admitted = state.triple.work.admitted == 1
+    triple, record = run_iteration(cfg, triple, [], seed)
+    admitted = triple.work.admitted == 1
     # a cut of -inf admits every scorable pool row, and only those
     np.testing.assert_array_equal(admitted, pool & scorable)
     assert record.added_count == int((pool & scorable).sum())
-    np.testing.assert_array_equal(state.triple.work.label[admitted], scores.y1[admitted])
+    np.testing.assert_array_equal(triple.work.label[admitted], scores.y1[admitted])
 
 
 def check_row_bookkeeping(triple, iteration, rescore):
@@ -319,12 +318,13 @@ def test_bookkeeping_holds_after_every_iteration_in_every_mode(
     validation_ids = triple.validation.ids.tolist()
     total = len(triple.labelled) + len(triple.unlabelled)
     clean_count = len(triple.labelled)
-    state = LoopState(config=cfg, triple=triple)
+    records = []
     thresholds = []
     for it in range(1, 4):
-        state, record = run_iteration(state, it, base_seed)
+        triple, record = run_iteration(cfg, triple, records, base_seed)
+        records.append(record)
         thresholds.append(record.threshold)
-        t = state.triple
+        t = triple
         assert_partition(t, samples.ids)
         assert t.validation.ids.tolist() == validation_ids
         assert record.dl_size + record.du_size == total
@@ -367,12 +367,13 @@ def test_each_iteration_scores_every_working_row_once(monkeypatch, over):
         return score_block(model, prototypes, plan, block, seed, **kwargs)
 
     monkeypatch.setattr(loop, "score_block", recording)
-    state = LoopState(config=cfg, triple=triple)
+    records = []
     pseudo_scored = 0
     for it in range(1, 4):
         scored.clear()
-        pseudo_scored += int((state.triple.work.admitted != 0).sum())
-        state, _ = run_iteration(state, it, base_seed)
+        pseudo_scored += int((triple.work.admitted != 0).sum())
+        triple, record = run_iteration(cfg, triple, records, base_seed)
+        records.append(record)
         assert sorted(np.concatenate(scored).tolist()) == work_ids
     assert pseudo_scored, "expected pseudo-labelled rows to score"
 

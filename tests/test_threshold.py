@@ -67,6 +67,11 @@ def test_tied_confidences_are_evaluated_jointly():
     # a lower cut can qualify where a higher one fails
     assert learn_threshold(*rows, 0.6) == 0.5
     assert learn_threshold(*rows, 0.5) == 0.5
+    # under the open rule the 0.8 candidate passes nothing and is excluded,
+    # and the 0.5 candidate passes the two tied 0.8 rows: accuracy 1/2
+    assert learn_threshold(*rows, 0.75, strict=True) == math.inf
+    assert learn_threshold(*rows, 0.6, strict=True) == math.inf
+    assert learn_threshold(*rows, 0.5, strict=True) == 0.5
 
 
 def test_learned_cut_satisfies_its_own_constraint():

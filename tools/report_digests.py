@@ -21,7 +21,8 @@ The configs are the three benchmark workloads of `bench/workloads.py`
 reach every threshold and pool branch of the loop: the fixture with
 re-scoring mode, with fixed equal metric weights instead of calibrated
 ones, with a threshold frozen after the first iteration under the open
-admission rule, with a manual threshold, with the sample std and the
+admission rule, with the open rule learned every iteration, with a manual
+threshold, with the sample std and the
 reciprocal combination, and with re-scoring mode plus a frozen threshold;
 digits_pool read from a binary table; and `label_gap`, blobs with one class
 id left without rows, whose runs score rows that have no prototype.
@@ -132,6 +133,7 @@ CONFIGS = {
     "acceptance_frozen_open": _fixture(
         threshold={"refresh": "freeze_after_first", "admit_rule": "open"}
     ),
+    "acceptance_open": _fixture(threshold={"admit_rule": "open"}),
     "acceptance_manual": _fixture(threshold={"manual": 0.9}),
     "acceptance_sample_std": _fixture(
         ensemble={"std": "sample"}, confidence={"combine_mode": "reciprocal"}
