@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_numbers
+from .errors import ConfigError, DataError, check_fields
 from .seeding import rng
 
 
@@ -37,7 +37,7 @@ class GaussianJitter:
     sigma: float
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
         if not math.isfinite(self.sigma) or self.sigma < 0:
             raise ConfigError(
                 f"transform {self.kind!r}: sigma must be a finite number >= 0, "
@@ -54,8 +54,8 @@ class GaussianJitter:
 
 
 def _check_grid(t):
-    """A grid transform's parameters are numbers; it has a row and a column."""
-    check_numbers(t)
+    """A grid transform's parameters are whole numbers; it has a row and a column."""
+    check_fields(t)
     for name in ("rows", "cols"):
         value = getattr(t, name)
         if value < 1:
@@ -118,8 +118,14 @@ class AugmentationPlan:
     transforms: tuple
 
     def __post_init__(self):
+        check_fields(self)
         if not self.transforms:
             raise ConfigError("augmentation plan needs at least one transform")
+        for i, t in enumerate(self.transforms):
+            if not isinstance(t, tuple(TRANSFORMS.values())):
+                raise ConfigError(
+                    f"AugmentationPlan.transforms[{i}] must be a transform, got {t!r}"
+                )
         if not isinstance(self.transforms[0], Identity):
             raise ConfigError("the first transform must be the identity")
 

@@ -5,11 +5,12 @@ tanh MLP. Both minimize cross-entropy (plus an L2 penalty on weight matrices)
 by mini-batch gradient descent and are fully deterministic given their seeds.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, StateError, TrainingError, check_numbers
+from .errors import ConfigError, DataError, StateError, TrainingError, check_fields
 from .seeding import rng
 
 SOFTMAX_REGRESSION = "softmax_regression"
@@ -25,15 +26,15 @@ class TrainConfig:
     early_stop_patience: int | None = None
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.l2 < 0:
-            raise ConfigError("l2 must be >= 0")
+        if not 0 <= self.l2 < math.inf:
+            raise ConfigError("l2 must be finite and >= 0")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ConfigError("early_stop_patience must be >= 1 when set")
 

@@ -9,7 +9,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import loop, synth
@@ -62,8 +61,6 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     if cfg.output_dir is None and args.out is None:
         raise ConfigError("no output directory: set output_dir in the config or pass --out")
     if cfg.data.path is not None and not os.path.exists(cfg.data.path):
@@ -71,7 +68,7 @@ def cmd_run(args) -> int:
     if args.dry_run:
         print(f"config {args.config} OK")
         return 0
-    payload = loop.run(cfg, output_dir=args.out)
+    payload = loop.run(cfg, base_seed=args.seed, output_dir=args.out)
     out = args.out if args.out is not None else cfg.output_dir
     summary = payload.get("summary")
     if summary is not None:

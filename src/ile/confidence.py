@@ -9,13 +9,14 @@ everywhere. ``block_metrics`` is the one place the metrics are computed, on
 a block of chosen distributions at a time.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .classifier import predict_proba_batch
 from .ensemble import ensemble_posteriors, select_distribution
-from .errors import ConfigError, DataError, MissingPrototypeError, check_numbers
+from .errors import ConfigError, DataError, MissingPrototypeError, check_fields
 
 COMBINE_MODES = ("bounded", "reciprocal")
 
@@ -39,9 +40,9 @@ class MetricWeights:
     w_c: float
 
     def __post_init__(self):
-        check_numbers(self)
-        if self.w_a < 0 or self.w_b < 0 or self.w_c < 0:
-            raise ConfigError("metric weights must be non-negative")
+        check_fields(self)
+        if not all(0 <= w < math.inf for w in (self.w_a, self.w_b, self.w_c)):
+            raise ConfigError("metric weights must be finite and non-negative")
         if self.w_a + self.w_b + self.w_c <= 0:
             raise ConfigError("metric weights must not all be zero")
 

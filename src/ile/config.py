@@ -10,15 +10,13 @@ weights) carry a codec in their metadata; each transform in the plan is
 itself a section, picked by its ``kind``. Every consumer module reads
 exactly one section.
 
-Every section checks its values' ranges in ``__post_init__``, number
-fields first (``errors.check_numbers``), and is frozen. Other types are
-the decoder's check; a config built in Python meets it when
-``loop.run_single`` or ``loop.run`` starts and re-decodes it.
+Every section is frozen and checks in ``__post_init__`` its fields' types
+(``errors.check_fields``, the decoder's scalar rule), then its ranges, so a
+config is valid once built, whether decoded from JSON or built in Python.
 """
 
 import json
 import math
-import types
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -26,7 +24,7 @@ from typing import Callable, NamedTuple
 from .augment import TRANSFORMS, AugmentationPlan
 from .classifier import SOFTMAX_REGRESSION, TrainConfig, check_architecture
 from .confidence import COMBINE_MODES, MetricWeights
-from .errors import ConfigError, check_numbers
+from .errors import ConfigError, check_fields, coerce, optional
 from .synth import check_spec
 
 REFRESH_POLICIES = ("every_iteration", "freeze_after_first")
@@ -101,7 +99,7 @@ class SynthSpec:
     noise: float = 0.0
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
         check_spec(self.kind, self.classes, self.per_class, self.noise)
 
 
@@ -112,6 +110,7 @@ class DataSource:
     synth: SynthSpec | None = field(default=None, metadata=_json(omit_none=True))
 
     def __post_init__(self):
+        check_fields(self)
         if (self.path is None) == (self.synth is None):
             raise ConfigError("data source needs exactly one of 'path' or 'synth'")
         if self.format not in ("csv", "binary"):
@@ -124,7 +123,7 @@ class SplitSpec:
     validation_count: int
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
         if self.labelled_per_class < 1:
             raise ConfigError("labelled_per_class must be >= 1")
         if self.validation_count < 0:
@@ -138,7 +137,7 @@ class ClassifierSpec:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
         check_architecture(self.architecture, self.hidden_units)
 
 
@@ -148,6 +147,7 @@ class EnsembleSpec:
     std: str = "population"
 
     def __post_init__(self):
+        check_fields(self)
         if self.std not in STD_MODES:
             raise ConfigError("ensemble.std must be 'population' or 'sample'")
 
@@ -162,11 +162,11 @@ class ConfidenceSpec:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
         if self.combine_mode not in COMBINE_MODES:
             raise ConfigError(f"unknown combine mode {self.combine_mode!r}")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be > 0")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError("epsilon must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ class ThresholdSpec:
     admit_rule: str = "closed"
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
         if not 0 < self.target_accuracy <= 1:
             raise ConfigError("target_accuracy must be in (0, 1]")
         if self.refresh not in REFRESH_POLICIES:
@@ -194,7 +194,7 @@ class LoopSpec:
     rescore_admitted: bool = False
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be >= 0")
         if self.patience < 1:
@@ -218,20 +218,19 @@ class RunConfig:
     seed: int = 0
     output_dir: str | None = None
 
+    def __post_init__(self):
+        check_fields(self)
+
 
 # ---------------------------------------------------------------------------
 # Decoding and encoding
 # ---------------------------------------------------------------------------
 
-_SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "text"}
-
-
 def _decode(tp, raw, where):
     """The value of type ``tp`` that the JSON value ``raw`` at ``where`` encodes."""
-    if isinstance(tp, types.UnionType):  # ``X | None``
-        if raw is None:
-            return None
-        (tp,) = [t for t in tp.__args__ if t is not type(None)]
+    tp, nullable = optional(tp)
+    if nullable and raw is None:
+        return None
     if is_dataclass(tp):
         section = where or "config"
         _check_keys(raw, [f.name for f in fields(tp)], section)
@@ -246,14 +245,7 @@ def _decode(tp, raw, where):
             decode = codec.decode if codec else partial(_decode, f.type)
             values[key] = decode(raw[key], f"{where}.{key}" if where else key)
         return tp(**values)
-    if tp in (bool, str) and isinstance(raw, tp):
-        return raw
-    number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
-    if tp is float and number and not math.isnan(raw):
-        return float(raw)
-    if tp is int and number and raw % 1 == 0:
-        return int(raw)
-    raise ConfigError(f"{where} must be {_SCALARS[tp]}, got {raw!r}")
+    return coerce(tp, raw, where)
 
 
 def config_to_dict(obj) -> dict:

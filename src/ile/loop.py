@@ -31,7 +31,7 @@ from .confidence import (
     score_block,
     weights_from_scored,
 )
-from .config import config_from_dict, config_to_dict
+from .config import config_to_dict
 from .datasets import UNKNOWN, admit, label_accuracy, load_table, release_pseudo
 from .errors import ConfigError, DataError, writing
 from .seeding import derive_seed
@@ -278,8 +278,6 @@ def _load_samples(cfg):
 
 def run_single(cfg, samples, base_seed) -> RunReport:
     """One full run on pre-loaded samples: the loop and its benchmark."""
-    # re-decoded, so a config built in Python meets the JSON type rules
-    cfg = config_from_dict(config_to_dict(cfg))
     triple = datasets.split(
         samples,
         cfg.split.labelled_per_class,
@@ -319,7 +317,6 @@ def run(cfg, base_seed=None, output_dir=None) -> dict:
     """
     if base_seed is not None:
         cfg = replace(cfg, seed=base_seed)
-    cfg = config_from_dict(config_to_dict(cfg))  # as run_single, before any work
     out_dir = output_dir if output_dir is not None else cfg.output_dir
     if out_dir is None:
         raise ConfigError("no output directory: set output_dir or pass --out")

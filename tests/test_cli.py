@@ -115,6 +115,15 @@ def test_run_exit_codes(tmp_path):
     assert run_cli("run", "--config", wrong_type, "--out", str(tmp_path / "o")) == 1
 
 
+def test_infinite_metric_weights_are_a_config_error(tmp_path, capsys):
+    # every confidence would be inf and pass the inf cut that admits nothing
+    cfg = config_file(tmp_path, confidence={"weights": [float("inf"), 0, 0]})
+    out = tmp_path / "o"
+    assert run_cli("run", "--config", cfg, "--out", str(out)) == 1
+    assert "metric weights must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_missing_data_file_names_the_path(tmp_path, capsys):
     cfg = config_file(tmp_path, data={"path": str(tmp_path / "ghost.csv")})
     code = run_cli("run", "--config", cfg, "--out", str(tmp_path / "o"))

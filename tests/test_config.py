@@ -1,12 +1,21 @@
 import json
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 from pathlib import Path
+from typing import get_args
 
+import numpy as np
 import pytest
 
 from ile import ConfigError, MetricWeights, load_config
-from ile.augment import AugmentationPlan, GaussianJitter, GridHFlip, GridShift, Identity
+from ile.augment import (
+    TRANSFORMS,
+    AugmentationPlan,
+    GaussianJitter,
+    GridHFlip,
+    GridShift,
+    Identity,
+)
 from ile.classifier import TrainConfig
 from ile.config import (
     ClassifierSpec,
@@ -219,6 +228,14 @@ def test_data_source_needs_exactly_one_origin():
         ("classifier", {"train": {"learning_rate": NAN}}, "classifier.train.learning_rate"),
         ("classifier", {"train": {"l2": NAN}}, "classifier.train.l2"),
         ("data", {"synth": {"kind": "blobs", "classes": 2, "per_class": 5, "noise": NAN}}, "data.synth.noise"),
+        # an infinite weight makes every confidence inf, which passes the inf
+        # cut that admits nothing; an infinite rate, penalty or floor is no
+        # usable value either
+        ("confidence", {"weights": [INF, 0, 0]}, "metric weights must be finite"),
+        ("confidence", {"weights": [0.5, 0.5, -INF]}, "metric weights must be finite"),
+        ("classifier", {"train": {"learning_rate": INF}}, "learning_rate must be finite"),
+        ("classifier", {"train": {"l2": INF}}, "l2 must be finite"),
+        ("confidence", {"epsilon": INF}, "epsilon must be finite"),
     ],
 )
 def test_invalid_values_are_rejected(section, patch, needle):
@@ -249,6 +266,20 @@ def test_whole_numbers_coerce_to_the_field_type():
     assert cfg.confidence.weights == MetricWeights(1.0, 0.0, 0.0)
     flip = cfg.augment.transforms[1]
     assert flip == GridHFlip(5, 2) and type(flip.cols) is int
+    # the same rule when the sections are built in Python
+    assert type(TrainConfig(epochs=60.0).epochs) is int
+    assert type(ThresholdSpec(target_accuracy=1).target_accuracy) is float
+    python = built(
+        classifier=ClassifierSpec(train=TrainConfig(epochs=60.0, learning_rate=1)),
+        confidence=ConfidenceSpec(weights=MetricWeights(1, 0, 0)),
+        augment=AugmentationPlan.from_transforms([Identity(), GridHFlip(5, 2.0)]),
+        seed=np.int64(3),
+    )
+    assert type(python.seed) is int
+    decoded = config_from_dict(dict(raw, seed=3))
+    assert config_to_dict(python) == config_to_dict(decoded)
+    # 60 == 60.0, so compare the JSON text too
+    assert json.dumps(config_to_dict(python)) == json.dumps(config_to_dict(decoded))
 
 
 @pytest.mark.parametrize(
@@ -269,6 +300,12 @@ def test_whole_numbers_coerce_to_the_field_type():
         (TrainConfig, {"epochs": 0}, "epochs"),
         (GaussianJitter, {"sigma": -1.0}, "sigma"),
         (GridShift, {"rows": 5, "cols": 0, "dx": 0, "dy": 0}, "cols"),
+        (MetricWeights, {"w_a": INF, "w_b": 0.0, "w_c": 0.0}, "finite"),
+        (
+            AugmentationPlan,
+            {"transforms": (Identity(), "x")},
+            r"^AugmentationPlan\.transforms\[1\] must be a transform, got 'x'",
+        ),
     ],
 )
 def test_sections_built_in_python_are_checked_at_construction(section, kwargs, needle):
@@ -276,29 +313,99 @@ def test_sections_built_in_python_are_checked_at_construction(section, kwargs, n
         section(**kwargs)
 
 
-# sections built in Python with a non-number where a number belongs
+def built(**over):
+    """A minimal RunConfig built in Python, with ``over`` in place."""
+    base = dict(data=DataSource(synth=SynthSpec("blobs", 3, 50)), split=SplitSpec(5, 20))
+    return RunConfig(**{**base, **over})
+
+
+NUMBER, INTEGER, FLAG, TEXT = "a number", "an integer", "true or false", "text"
+
+# every field of every section, built in Python with a non-number of the
+# wrong type, and what its error says the field must be
 NON_NUMBERS = {
-    "ThresholdSpec.target_accuracy": lambda: ThresholdSpec(target_accuracy="0.9"),
-    "SplitSpec.labelled_per_class": lambda: SplitSpec("5", 10),
-    "LoopSpec.max_iterations": lambda: LoopSpec(max_iterations="3"),
-    "LoopSpec.patience": lambda: LoopSpec(patience=None),
-    "TrainConfig.epochs": lambda: TrainConfig(epochs="2"),
-    "TrainConfig.early_stop_patience": lambda: TrainConfig(early_stop_patience="2"),
-    "ConfidenceSpec.epsilon": lambda: ConfidenceSpec(epsilon="1"),
-    "GaussianJitter.sigma": lambda: GaussianJitter("0.5"),
-    "GridShift.cols": lambda: GridShift(5, "5", 0, 0),
-    "MetricWeights.w_a": lambda: MetricWeights("1", 1, 1),
-    "SynthSpec.classes": lambda: SynthSpec("blobs", "3", 10),
-    "SynthSpec.noise": lambda: SynthSpec("blobs", 3, 10, "0.5"),
-    "ClassifierSpec.hidden_units": lambda: ClassifierSpec("mlp", "8"),
+    "ThresholdSpec.target_accuracy": (lambda: ThresholdSpec(target_accuracy="0.9"), NUMBER),
+    "SplitSpec.labelled_per_class": (lambda: SplitSpec("5", 10), INTEGER),
+    "LoopSpec.max_iterations": (lambda: LoopSpec(max_iterations="3"), INTEGER),
+    "LoopSpec.patience": (lambda: LoopSpec(patience=None), INTEGER),
+    "TrainConfig.epochs": (lambda: TrainConfig(epochs="2"), INTEGER),
+    "TrainConfig.early_stop_patience": (lambda: TrainConfig(early_stop_patience="2"), INTEGER),
+    "ConfidenceSpec.epsilon": (lambda: ConfidenceSpec(epsilon="1"), NUMBER),
+    "GaussianJitter.sigma": (lambda: GaussianJitter("0.5"), NUMBER),
+    "GridShift.cols": (lambda: GridShift(5, "5", 0, 0), INTEGER),
+    "MetricWeights.w_a": (lambda: MetricWeights("1", 1, 1), NUMBER),
+    "SynthSpec.classes": (lambda: SynthSpec("blobs", "3", 10), INTEGER),
+    "SynthSpec.noise": (lambda: SynthSpec("blobs", 3, 10, "0.5"), NUMBER),
+    "ClassifierSpec.hidden_units": (lambda: ClassifierSpec("mlp", "8"), INTEGER),
+    "SynthSpec.kind": (lambda: SynthSpec(None, 3, 10), TEXT),
+    "SynthSpec.per_class": (lambda: SynthSpec("blobs", 3, "10"), INTEGER),
+    "DataSource.path": (lambda: DataSource(path=Path("pool.csv")), TEXT),
+    "DataSource.format": (lambda: DataSource(path="pool.csv", format=None), TEXT),
+    "DataSource.synth": (lambda: DataSource(synth=MINIMAL["data"]["synth"]), "of type SynthSpec"),
+    "SplitSpec.validation_count": (lambda: SplitSpec(5, "10"), INTEGER),
+    "ClassifierSpec.architecture": (lambda: ClassifierSpec(architecture=None), TEXT),
+    "ClassifierSpec.train": (lambda: ClassifierSpec(train={"epochs": 5}), "of type TrainConfig"),
+    "TrainConfig.learning_rate": (lambda: TrainConfig(learning_rate="0.1"), NUMBER),
+    "TrainConfig.batch_size": (lambda: TrainConfig(batch_size="32"), INTEGER),
+    "TrainConfig.l2": (lambda: TrainConfig(l2=None), NUMBER),
+    "EnsembleSpec.std": (lambda: EnsembleSpec(std=None), TEXT),
+    "ConfidenceSpec.weights": (
+        lambda: ConfidenceSpec(weights=[0.5, 0.3, 0.2]),
+        "of type MetricWeights",
+    ),
+    "ConfidenceSpec.combine_mode": (lambda: ConfidenceSpec(combine_mode=None), TEXT),
+    "MetricWeights.w_b": (lambda: MetricWeights(1, "1", 1), NUMBER),
+    "MetricWeights.w_c": (lambda: MetricWeights(1, 1, None), NUMBER),
+    "ThresholdSpec.manual": (lambda: ThresholdSpec(manual="0.5"), NUMBER),
+    "ThresholdSpec.refresh": (lambda: ThresholdSpec(refresh=None), TEXT),
+    "ThresholdSpec.admit_rule": (lambda: ThresholdSpec(admit_rule=None), TEXT),
+    "LoopSpec.repeat_count": (lambda: LoopSpec(repeat_count="2"), INTEGER),
+    "LoopSpec.rescore_admitted": (lambda: LoopSpec(rescore_admitted="false"), FLAG),
+    "RunConfig.data": (lambda: built(data=MINIMAL["data"]), "of type DataSource"),
+    "RunConfig.split": (lambda: built(split=MINIMAL["split"]), "of type SplitSpec"),
+    "RunConfig.classifier": (lambda: built(classifier={}), "of type ClassifierSpec"),
+    "RunConfig.augment": (lambda: built(augment=[Identity()]), "of type AugmentationPlan"),
+    "RunConfig.confidence": (lambda: built(confidence={}), "of type ConfidenceSpec"),
+    "RunConfig.threshold": (lambda: built(threshold={}), "of type ThresholdSpec"),
+    "RunConfig.loop": (lambda: built(loop={"max_iterations": 1}), "of type LoopSpec"),
+    "RunConfig.ensemble": (lambda: built(ensemble="sample"), "of type EnsembleSpec"),
+    "RunConfig.seed": (lambda: built(seed="7"), INTEGER),
+    "RunConfig.output_dir": (lambda: built(output_dir=Path("runs")), TEXT),
+    "AugmentationPlan.transforms": (
+        lambda: AugmentationPlan([Identity()]),
+        "of type tuple",
+    ),
+    "GridHFlip.rows": (lambda: GridHFlip("5", 5), INTEGER),
+    "GridHFlip.cols": (lambda: GridHFlip(5, None), INTEGER),
+    "GridShift.rows": (lambda: GridShift("5", 5, 0, 0), INTEGER),
+    "GridShift.dx": (lambda: GridShift(5, 5, "1", 0), INTEGER),
+    "GridShift.dy": (lambda: GridShift(5, 5, 0, None), INTEGER),
 }
 
 
 @pytest.mark.parametrize("key", NON_NUMBERS)
 def test_a_non_number_built_in_python_is_a_config_error_naming_its_field(key):
-    # not a bare TypeError from the range check's comparison
-    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be a number"):
-        NON_NUMBERS[key]()
+    # not a bare TypeError from a range check, nor a value kept as given
+    build, phrase = NON_NUMBERS[key]
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be {phrase}, got "):
+        build()
+
+
+def sections_named_by(tp):
+    """``tp`` if it is a section, and every section its fields name, transitively."""
+    found = set()
+    for t in get_args(tp) or (tp,):  # ``X | None`` names X
+        if is_dataclass(t):
+            found |= {t}.union(*(sections_named_by(f.type) for f in fields(t)))
+    return found
+
+
+def test_every_field_of_every_section_has_a_wrong_typed_case():
+    # a section added without check_fields then fails its cases above
+    sections = sections_named_by(RunConfig) | set(TRANSFORMS.values()) | {MetricWeights}
+    with_fields = {s.__name__ for s in sections if fields(s)}
+    assert {key.split(".")[0] for key in NON_NUMBERS} == with_fields
+    assert set(NON_NUMBERS) == {f"{s.__name__}.{f.name}" for s in sections for f in fields(s)}
 
 
 def test_readme_tour_config_with_a_bad_target_cannot_be_built():
