@@ -63,18 +63,14 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if cfg.output_dir is None and args.out is None:
         raise ConfigError("no output directory: set output_dir in the config or pass --out")
-    if cfg.data.path is not None and not os.path.exists(cfg.data.path):
+    if cfg.data.path is not None and not os.path.isfile(cfg.data.path):
         raise DataError(f"data file not found: {cfg.data.path}")
     if args.dry_run:
         print(f"config {args.config} OK")
         return 0
     payload = loop.run(cfg, base_seed=args.seed, output_dir=args.out)
     out = args.out if args.out is not None else cfg.output_dir
-    summary = payload.get("summary")
-    if summary is not None:
-        final = summary["final_val_error_mean"]
-    else:
-        final = payload["final_val_error"]
+    final = payload["summary"]["final_val_error_mean"]
     if final is not None:
         print(f"final validation error {100.0 * final:.2f}%; artifacts in {out}")
     else:
@@ -86,30 +82,6 @@ def _fmt_pct(x):
     return f"{100.0 * x:.2f}%"
 
 
-def _improvement(points):
-    # positive means the error fell
-    return f"  (improvement {100.0 * points:+.2f} points)" if points is not None else ""
-
-
-def _single_lines(rep):
-    bench = rep["benchmark_val_error"]
-    final = rep["final_val_error"]
-    records = rep["iterations"]
-    lines = [f"benchmark error : {_fmt_pct(bench) if bench is not None else 'n/a'}"]
-    if not records:
-        return lines
-    lines.append(
-        f"final error     : {_fmt_pct(final) if final is not None else 'n/a'}"
-        + _improvement(rep["improvement"])
-    )
-    added = sum(r["added_count"] for r in records)
-    acc = records[-1]["cumulative_addition_accuracy"]
-    acc_text = f"  (addition accuracy {_fmt_pct(acc)})" if acc is not None else ""
-    lines.append(f"added samples   : {added}{acc_text}")
-    lines.append(f"iterations      : {len(records)}")
-    return lines
-
-
 def _summary_lines(payload):
     s = payload["summary"]
     bench, bench_std = s["benchmark_val_error_mean"], s["benchmark_val_error_std"]
@@ -118,9 +90,10 @@ def _summary_lines(payload):
     if bench is not None:
         lines.append(f"benchmark error : {_fmt_pct(bench)} (±{100.0 * bench_std:.2f})")
     if final is not None:
+        # a positive improvement means the error fell
         lines.append(
             f"final error     : {_fmt_pct(final)} (±{100.0 * final_std:.2f})"
-            + _improvement(s["improvement_mean"])
+            f"  (improvement {100.0 * s['improvement_mean']:+.2f} points)"
         )
     acc = s["cumulative_addition_accuracy_mean"]
     acc_text = f"  (addition accuracy {_fmt_pct(acc)})" if acc is not None else ""
@@ -131,20 +104,13 @@ def _summary_lines(payload):
 
 def _write_curves(run_dir, repeats):
     n = max((len(rep["iterations"]) for rep in repeats), default=0)
-    multi = len(repeats) > 1
-
-    def column_name(base, k):
-        return f"{base}_r{k}" if multi else base
-
     for filename, field in (
         ("curve_error.tsv", "val_error"),
         ("curve_growth.tsv", "dl_size"),
     ):
         path = Path(run_dir) / filename
         with writing(path), open(path, "w") as fh:
-            headers = ["iteration"] + [
-                column_name(field, k) for k in range(len(repeats))
-            ]
+            headers = ["iteration"] + [f"{field}_r{k}" for k in range(len(repeats))]
             fh.write("\t".join(headers) + "\n")
             for i in range(n):
                 row = [str(i + 1)]
@@ -169,11 +135,8 @@ def cmd_report(args) -> int:
 
     # a payload of the wrong shape fails on a missing key or a wrong type
     try:
-        if "summary" in payload:
-            lines, repeats = _summary_lines(payload), payload["repeats"]
-        else:
-            lines, repeats = _single_lines(payload), [payload]
-        _write_curves(args.run_dir, repeats)
+        lines = _summary_lines(payload)
+        _write_curves(args.run_dir, payload["repeats"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path} is not an ile report") from exc
     print("\n".join(lines))

@@ -213,11 +213,12 @@ def _binary_record(d):
     return np.dtype([("id", "<u4"), ("label", "<i4"), ("X", "<f4", (d,))])
 
 
-def save_table(samples, path, format="csv", num_classes=None):
+def save_table(samples, path, format="csv"):
     """Write samples to ``path`` in the CSV or binary table format.
 
     Labels are taken from ``true_label`` (falling back to ``label``), so a
-    dataset round-trips through save/load.
+    dataset round-trips through save/load. A binary header's class count is
+    the largest known label plus one.
     """
     if not len(samples):
         raise DataError("refusing to write an empty table")
@@ -235,8 +236,7 @@ def save_table(samples, path, format="csv", num_classes=None):
                     [sid, "" if lab == UNKNOWN else lab] + [repr(v) for v in row.tolist()]
                 )
     elif format == "binary":
-        if num_classes is None:
-            num_classes = int(labels.max()) + 1 if (labels != UNKNOWN).any() else 0
+        num_classes = int(labels.max()) + 1 if (labels != UNKNOWN).any() else 0
         if samples.ids.min() < 0 or samples.ids.max() >= 1 << 32:
             raise DataError("binary tables hold ids in [0, 2**32)")
         rows = np.empty(n, dtype=_binary_record(d))

@@ -309,11 +309,11 @@ def run_single(cfg, samples, base_seed) -> RunReport:
 def run(cfg, base_seed=None, output_dir=None) -> dict:
     """Benchmark plus iterative loop, repeated per config; writes artifacts.
 
-    Returns the report payload that is also written to ``report.json``.
-    ``base_seed`` overrides ``cfg.seed``; ``output_dir`` overrides the
-    config's output directory without entering the report snapshot, so two
-    runs of the same config into different directories are byte-identical.
-    Repeats run one after another in this process.
+    Returns the ``{config, repeats, summary}`` payload that is also written
+    to ``report.json``. ``base_seed`` overrides ``cfg.seed``; ``output_dir``
+    overrides the config's output directory without entering the report
+    snapshot, so two runs of the same config into different directories are
+    byte-identical. Repeats run one after another in this process.
     """
     if base_seed is not None:
         cfg = replace(cfg, seed=base_seed)
@@ -367,11 +367,10 @@ def _mean_std(values):
 
 
 def build_payload(cfg, reports) -> dict:
-    snapshot = config_to_dict(cfg)
-    if len(reports) == 1:
-        payload = {"config": snapshot}
-        payload.update(_report_to_dict(reports[0]))
-        return payload
+    """``{config, repeats, summary}`` for report.json, whatever the count.
+
+    With one repeat, each summary mean is its value and each std is 0.0.
+    """
     bench_mean, bench_std = _mean_std([r.benchmark_val_error for r in reports])
     final_mean, final_std = _mean_std([r.final_val_error for r in reports])
     improvement_mean, _ = _mean_std([r.improvement for r in reports])
@@ -382,7 +381,7 @@ def build_payload(cfg, reports) -> dict:
     ]
     known_accs = [a for a in cum_accs if a is not None]
     return {
-        "config": snapshot,
+        "config": config_to_dict(cfg),
         "repeats": [_report_to_dict(r) for r in reports],
         "summary": {
             "repeat_count": len(reports),

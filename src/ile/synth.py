@@ -13,6 +13,8 @@ from .seeding import rng
 
 GRID_ROWS = 5
 GRID_COLS = 5
+# distance of every blob center from the origin
+BLOB_RADIUS = 4.0
 
 
 def _to_samples(points_per_class):
@@ -21,12 +23,12 @@ def _to_samples(points_per_class):
     return Samples.clean(np.arange(sum(sizes)), np.concatenate(points_per_class), labels)
 
 
-def make_blobs(classes, per_class, noise, seed, radius=4.0):
+def make_blobs(classes, per_class, noise, seed):
     """Isotropic gaussians at ``classes`` distinct centers on a circle."""
     points = []
     for cls in range(classes):
         angle = 2.0 * np.pi * cls / classes
-        center = radius * np.array([np.cos(angle), np.sin(angle)])
+        center = BLOB_RADIUS * np.array([np.cos(angle), np.sin(angle)])
         jitter = rng(seed, "blobs", cls).normal(0.0, 1.0, size=(per_class, 2))
         points.append(center + noise * jitter)
     return _to_samples(points)

@@ -94,7 +94,7 @@ def test_run_produces_artifacts(tmp_path, capsys):
     assert run_cli("run", "--config", cfg, "--out", str(out)) == 0
     payload = json.loads((out / "report.json").read_text())
     lines = (out / "metrics.csv").read_text().strip().split("\n")
-    assert len(lines) == 1 + len(payload["iterations"])
+    assert len(lines) == 1 + len(payload["repeats"][0]["iterations"])
     assert "final validation error" in capsys.readouterr().out
 
 
@@ -166,7 +166,7 @@ def test_run_with_an_unlabelled_pool_reports_no_addition_accuracy(tmp_path):
     )
     out = tmp_path / "o"
     assert run_cli("run", "--config", cfg, "--out", str(out)) == 0
-    records = json.loads((out / "report.json").read_text())["iterations"]
+    records = json.loads((out / "report.json").read_text())["repeats"][0]["iterations"]
     assert records[0]["du_size"] == 3 * 25
     assert sum(r["added_count"] for r in records) > 0
     for r in records:
@@ -195,6 +195,26 @@ def test_dry_run_touches_nothing(tmp_path, capsys):
     assert run_cli("run", "--config", cfg, "--out", str(out), "--dry-run") == 0
     assert not out.exists()
     assert "OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_a_directory_as_data_path_is_a_data_error(tmp_path, capsys, dry_run):
+    # a dry run must reject what the run itself would reject
+    data = tmp_path / "data"
+    data.mkdir()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "data": {"path": str(data)},
+        "split": {"labelled_per_class": 2, "validation_count": 5},
+        "output_dir": str(tmp_path / "o"),
+    }))
+    flags = ["--dry-run"] if dry_run else []
+    assert run_cli("run", "--config", str(cfg), *flags) == 2
+    captured = capsys.readouterr()
+    assert str(data) in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "data"]
+    assert not any(data.iterdir())
 
 
 def test_run_into_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch):
@@ -252,13 +272,32 @@ def write_report(tmp_path, payload):
     return str(run_dir)
 
 
-def single_payload(bench, final, iterations):
+def repeat(bench, final, iterations):
+    """One entry of a report's ``repeats``."""
     return {
-        "config": {},
         "benchmark_val_error": bench,
         "final_val_error": final,
         "improvement": None if bench is None else bench - final,
         "iterations": iterations,
+    }
+
+
+def single_payload(bench, final, iterations):
+    """The report of a one-repeat run, summary included."""
+    acc = iterations[-1]["cumulative_addition_accuracy"] if iterations else None
+    return {
+        "config": {},
+        "repeats": [repeat(bench, final, iterations)],
+        "summary": {
+            "repeat_count": 1,
+            "benchmark_val_error_mean": bench,
+            "benchmark_val_error_std": 0.0,
+            "final_val_error_mean": final,
+            "final_val_error_std": 0.0,
+            "improvement_mean": None if bench is None else bench - final,
+            "added_count_mean": float(sum(r["added_count"] for r in iterations)),
+            "cumulative_addition_accuracy_mean": acc,
+        },
     }
 
 
@@ -289,13 +328,13 @@ def test_report_prints_improvement_in_points(tmp_path, capsys):
     assert "99.00%" in out
 
 
-def test_report_zero_iterations_shows_benchmark_only(tmp_path, capsys):
+def test_report_zero_iterations_shows_final_equal_to_benchmark(tmp_path, capsys):
     run_dir = write_report(tmp_path, single_payload(0.20, 0.20, []))
     assert run_cli("report", run_dir) == 0
     out = capsys.readouterr().out
-    assert "benchmark error" in out
-    assert "final" not in out
-    assert "improvement" not in out
+    assert "benchmark error : 20.00% (±0.00)" in out
+    assert "final error     : 20.00% (±0.00)  (improvement +0.00 points)" in out
+    assert "added samples   : 0.0 mean\n" in out
 
 
 def test_report_emits_curve_files(tmp_path):
@@ -306,10 +345,10 @@ def test_report_emits_curve_files(tmp_path):
     run_dir = write_report(tmp_path, single_payload(0.2, 0.07, records))
     assert run_cli("report", run_dir) == 0
     error_lines = (tmp_path / "run" / "curve_error.tsv").read_text().strip().split("\n")
-    assert error_lines[0] == "iteration\tval_error"
+    assert error_lines[0] == "iteration\tval_error_r0"
     assert error_lines[1].split("\t") == ["1", "0.1"]
     growth_lines = (tmp_path / "run" / "curve_growth.tsv").read_text().strip().split("\n")
-    assert growth_lines[0] == "iteration\tdl_size"
+    assert growth_lines[0] == "iteration\tdl_size_r0"
     assert growth_lines[2].split("\t") == ["2", "540"]
 
 
@@ -317,8 +356,8 @@ def test_report_summarizes_repeats(tmp_path, capsys):
     payload = {
         "config": {},
         "repeats": [
-            single_payload(0.2, 0.1, [record(1, 40, 100, 10, 1.0, 0.1)]),
-            single_payload(0.3, 0.1, [record(1, 40, 100, 20, 0.9, 0.1)]),
+            repeat(0.2, 0.1, [record(1, 40, 100, 10, 1.0, 0.1)]),
+            repeat(0.3, 0.1, [record(1, 40, 100, 20, 0.9, 0.1)]),
         ],
         "summary": {
             "repeat_count": 2,
@@ -348,8 +387,11 @@ def test_report_data_errors(tmp_path, capsys):
     (bad_dir / "report.json").write_text("{broken")
     assert run_cli("report", str(bad_dir)) == 2
     no_iterations = single_payload(0.2, 0.1, [])
-    del no_iterations["iterations"]
-    for payload in ({}, [1], no_iterations):
+    del no_iterations["repeats"][0]["iterations"]
+    # the single-run format of older versions: one repeat's fields at the top
+    records = [record(1, 40, 100, 10, 1.0, 0.1)]
+    old_single_run = {"config": {}, **repeat(0.2, 0.1, records)}
+    for payload in ({}, [1], no_iterations, old_single_run):
         (bad_dir / "report.json").write_text(json.dumps(payload))
         capsys.readouterr()
         assert run_cli("report", str(bad_dir)) == 2

@@ -1,3 +1,4 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -206,11 +207,14 @@ def test_binary_non_finite_feature_names_the_sample(tmp_path, value):
 
 
 def test_binary_label_out_of_range(tmp_path):
-    samples = make_sample(0, [1.0], 3)
-    path = str(tmp_path / "t.bin")
-    save_table(samples, path, format="binary", num_classes=2)
-    with pytest.raises(DataError, match="outside"):
-        load_table(path, format="binary")
+    # save_table always writes a class count that covers its labels, so the
+    # file is built by hand: a header for 1 record, 1 feature and 2 classes,
+    # then record id 0 with label 3
+    path = tmp_path / "t.bin"
+    header = struct.pack("<III", 1, 1, 2)
+    path.write_bytes(b"ILE1" + header + struct.pack("<Iif", 0, 3, 1.0))
+    with pytest.raises(DataError, match=r"record 0: label 3 outside \[0, 2\)"):
+        load_table(str(path), format="binary")
 
 
 def test_unknown_format_rejected(tmp_path):

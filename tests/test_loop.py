@@ -413,7 +413,7 @@ def test_run_writes_artifacts_and_payload_matches(tmp_path):
     assert on_disk == payload
     lines = (out / "metrics.csv").read_text().strip().split("\n")
     assert lines[0].startswith("repeat,iteration,dl_size")
-    assert len(lines) == 1 + len(payload["iterations"])
+    assert len(lines) == 1 + len(payload["repeats"][0]["iterations"])
     assert payload["config"]["seed"] == 17
     assert payload["config"]["output_dir"] is None  # the override stays out
 
@@ -427,13 +427,14 @@ def test_metrics_csv_times_each_stage(tmp_path):
         header = next(reader)
         rows = [dict(zip(header, row)) for row in reader]
     assert header[header.index("wall_time") + 1 :] == stages
-    assert len(rows) == len(payload["iterations"]) >= 2
+    records = payload["repeats"][0]["iterations"]
+    assert len(rows) == len(records) >= 2
     for row in rows:
         seconds = [float(row[c]) for c in stages]
         assert all(s >= 0 for s in seconds)
         assert sum(seconds) <= float(row["wall_time"])
     # wall-clock facts stay out of the deterministic report
-    assert not {"wall_time", *stages} & set(payload["iterations"][0])
+    assert not {"wall_time", *stages} & set(records[0])
 
 
 def test_unwritable_artifacts_are_a_data_error(tmp_path):
@@ -485,6 +486,27 @@ def test_repeats_produce_summary_statistics(tmp_path):
     assert len(lines) == 1 + rows
     # distinct repeats use distinct seeds, so they should not all coincide
     assert len({json.dumps(r, sort_keys=True) for r in payload["repeats"]}) > 1
+
+
+@pytest.mark.parametrize("repeat_count", [1, 3])
+def test_every_report_holds_repeats_and_summary(tmp_path, repeat_count):
+    cfg = small_cfg(loop=LoopSpec(max_iterations=2, repeat_count=repeat_count))
+    payload = run(cfg, output_dir=str(tmp_path / "o"))
+    assert set(payload) == {"config", "repeats", "summary"}
+    assert len(payload["repeats"]) == payload["summary"]["repeat_count"] == repeat_count
+    if repeat_count > 1:
+        return
+    rep, s = payload["repeats"][0], payload["summary"]
+    for name in ("benchmark_val_error", "final_val_error"):
+        assert s[f"{name}_mean"] == rep[name]
+        assert s[f"{name}_std"] == 0.0
+    assert s["improvement_mean"] == rep["improvement"]
+    added = sum(r["added_count"] for r in rep["iterations"])
+    assert added > 0
+    assert s["added_count_mean"] == float(added)
+    assert isinstance(s["added_count_mean"], float)
+    accuracy = rep["iterations"][-1]["cumulative_addition_accuracy"]
+    assert s["cumulative_addition_accuracy_mean"] == accuracy
 
 
 def test_run_seed_override_changes_the_snapshot(tmp_path):
