@@ -80,7 +80,7 @@ class GridHFlip:
         _check_grid(self)
 
     def apply(self, X, ids, seed, slot):
-        return _as_grids(X, self.rows, self.cols)[:, :, ::-1].reshape(len(X), -1)
+        return _as_grids(X, self.rows, self.cols)[:, :, ::-1].reshape(X.shape)
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class GridShift:
             out[:, r0:r1, c0:c1] = g[
                 :, r0 - self.dy : r1 - self.dy, c0 - self.dx : c1 - self.dx
             ]
-        return out.reshape(len(X), -1)
+        return out.reshape(X.shape)
 
 
 TRANSFORMS = {t.kind: t for t in (Identity, GaussianJitter, GridHFlip, GridShift)}

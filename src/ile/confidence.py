@@ -18,8 +18,6 @@ from .classifier import predict_proba_batch
 from .ensemble import ensemble_posteriors, select_distribution
 from .errors import ConfigError, DataError, MissingPrototypeError, check_fields
 
-COMBINE_MODES = ("bounded", "reciprocal")
-
 
 @dataclass
 class PrototypeTable:

@@ -1,14 +1,14 @@
 """Run configuration: the dataclasses below are the JSON schema.
 
 One decoder and one encoder walk ``dataclasses.fields()``. A field's name
-is its JSON key, its annotation is the type a JSON value must have, and
-its default is what an omitted key means; a field without a default is
-required. Unknown keys are rejected so that typos fail loudly instead of
-silently falling back to defaults. The two fields whose JSON value has
-another form than the field's (the augmentation plan and the metric
-weights) carry a codec in their metadata; each transform in the plan is
-itself a section, picked by its ``kind``. Every consumer module reads
-exactly one section.
+is its JSON key, its annotation is the type a JSON value must have (a
+closed choice is a ``Literal`` of its strings), and its default is what an
+omitted key means; a field without a default is required. Unknown keys are
+rejected so that typos fail loudly instead of silently falling back to
+defaults. The two fields whose JSON value has another form than the
+field's (the augmentation plan and the metric weights) carry a codec in
+their metadata; each transform in the plan is itself a section, picked by
+its ``kind``. Every consumer module reads exactly one section.
 
 Every section is frozen and checks in ``__post_init__`` its fields' types
 (``errors.check_fields``, the decoder's scalar rule), then its ranges, so a
@@ -19,17 +19,13 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Literal, NamedTuple
 
 from .augment import TRANSFORMS, AugmentationPlan
 from .classifier import SOFTMAX_REGRESSION, TrainConfig, check_architecture
-from .confidence import COMBINE_MODES, MetricWeights
+from .confidence import MetricWeights
 from .errors import ConfigError, check_fields, coerce, optional
 from .synth import check_spec
-
-REFRESH_POLICIES = ("every_iteration", "freeze_after_first")
-ADMIT_RULES = ("closed", "open")
-STD_MODES = ("population", "sample")
 
 
 class _Codec(NamedTuple):
@@ -106,15 +102,13 @@ class SynthSpec:
 @dataclass(frozen=True)
 class DataSource:
     path: str | None = field(default=None, metadata=_json(omit_none=True))
-    format: str = "csv"
+    format: Literal["csv", "binary"] = "csv"
     synth: SynthSpec | None = field(default=None, metadata=_json(omit_none=True))
 
     def __post_init__(self):
         check_fields(self)
         if (self.path is None) == (self.synth is None):
             raise ConfigError("data source needs exactly one of 'path' or 'synth'")
-        if self.format not in ("csv", "binary"):
-            raise ConfigError(f"unknown data format {self.format!r}")
 
 
 @dataclass(frozen=True)
@@ -144,12 +138,10 @@ class ClassifierSpec:
 @dataclass(frozen=True)
 class EnsembleSpec:
     # the spread penalty's std: divide by A ("population") or by A - 1
-    std: str = "population"
+    std: Literal["population", "sample"] = "population"
 
     def __post_init__(self):
         check_fields(self)
-        if self.std not in STD_MODES:
-            raise ConfigError("ensemble.std must be 'population' or 'sample'")
 
 
 @dataclass(frozen=True)
@@ -158,13 +150,11 @@ class ConfidenceSpec:
     weights: MetricWeights | None = field(
         default_factory=MetricWeights.equal, metadata=_json(codec=_WEIGHTS)
     )
-    combine_mode: str = "bounded"
+    combine_mode: Literal["bounded", "reciprocal"] = "bounded"
     epsilon: float = 1e-6
 
     def __post_init__(self):
         check_fields(self)
-        if self.combine_mode not in COMBINE_MODES:
-            raise ConfigError(f"unknown combine mode {self.combine_mode!r}")
         if not 0 < self.epsilon < math.inf:
             raise ConfigError("epsilon must be finite and > 0")
 
@@ -173,17 +163,13 @@ class ConfidenceSpec:
 class ThresholdSpec:
     target_accuracy: float = 0.99
     manual: float | None = None
-    refresh: str = "every_iteration"
-    admit_rule: str = "closed"
+    refresh: Literal["every_iteration", "freeze_after_first"] = "every_iteration"
+    admit_rule: Literal["closed", "open"] = "closed"
 
     def __post_init__(self):
         check_fields(self)
         if not 0 < self.target_accuracy <= 1:
             raise ConfigError("target_accuracy must be in (0, 1]")
-        if self.refresh not in REFRESH_POLICIES:
-            raise ConfigError(f"unknown refresh policy {self.refresh!r}")
-        if self.admit_rule not in ADMIT_RULES:
-            raise ConfigError(f"unknown admit rule {self.admit_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -220,6 +206,12 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self)
+        stops_early = self.classifier.train.early_stop_patience is not None
+        if stops_early and self.split.validation_count == 0:
+            raise ConfigError(
+                "classifier.train.early_stop_patience needs validation rows: "
+                "set split.validation_count > 0"
+            )
 
 
 # ---------------------------------------------------------------------------

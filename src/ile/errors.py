@@ -8,6 +8,7 @@ import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import fields
+from typing import Literal, get_args, get_origin
 
 
 class IleError(Exception):
@@ -46,7 +47,14 @@ def optional(tp):
 
 def coerce(tp, value, where):
     """``value`` as the scalar type ``tp``: bool and str exactly, a float any
-    real number but NaN, an int a whole one; a bool is never a number."""
+    real number but NaN, an int a whole one; a bool is never a number. A
+    ``Literal`` of strings is text that is one of its choices."""
+    if get_origin(tp) is Literal:
+        choices = get_args(tp)
+        if coerce(str, value, where) not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise ConfigError(f"{where} must be one of {listed}, got {value!r}")
+        return value
     if tp in (bool, str) and isinstance(value, tp):
         return value
     number = isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -63,7 +71,8 @@ def check_fields(section):
     for f in fields(section):
         tp, nullable = optional(f.type)
         value, where = getattr(section, f.name), f"{type(section).__name__}.{f.name}"
-        if tp in (bool, int, float, str) and (value is not None or not nullable):
+        scalar = tp in (bool, int, float, str) or get_origin(tp) is Literal
+        if scalar and (value is not None or not nullable):
             object.__setattr__(section, f.name, coerce(tp, value, where))
         elif not isinstance(value, f.type):  # ``X | None`` admits None
             raise ConfigError(f"{where} must be of type {tp.__name__}, got {value!r}")

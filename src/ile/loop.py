@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datasets
+from . import augment, datasets
 from .classifier import evaluate, fit, init_model
 from .confidence import (
     BlockScores,
@@ -120,13 +120,12 @@ def _train(cfg, labelled, validation, base_seed, iteration_index):
         seed=derive_seed(base_seed, iteration_index, "init"),
         hidden_units=cfg.classifier.hidden_units,
     )
-    early_stop = cfg.classifier.train.early_stop_patience is not None
     model = fit(
         model,
         labelled,
         cfg.classifier.train,
         seed=derive_seed(base_seed, iteration_index, "fit"),
-        validation=validation if (early_stop and validation) else None,
+        validation=validation,
     )
     val_error = evaluate(model, validation) if validation else None
     return model, val_error
@@ -277,13 +276,21 @@ def _load_samples(cfg):
 
 
 def run_single(cfg, samples, base_seed) -> RunReport:
-    """One full run on pre-loaded samples: the loop and its benchmark."""
+    """One full run on pre-loaded samples: the loop and its benchmark.
+
+    The table is checked before any training: the augmentation plan must
+    apply to its rows, and D_l must hold at least 2 classes.
+    """
+    augment.apply(cfg.augment, samples[:0], base_seed)
     triple = datasets.split(
         samples,
         cfg.split.labelled_per_class,
         cfg.split.validation_count,
         seed=derive_seed(base_seed, "split"),
     )
+    classes = len(np.unique(triple.labelled.label))
+    if classes < 2:
+        raise DataError(f"the labelled set has {classes} class, need at least 2")
     records = []
     while not should_stop(records, cfg):
         triple, record = run_iteration(cfg, triple, records, base_seed)

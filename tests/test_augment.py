@@ -74,6 +74,15 @@ def test_apply_is_order_independent_across_samples():
     np.testing.assert_array_equal(block[1], first)
 
 
+def test_a_zero_row_block_keeps_its_shape_through_every_transform():
+    # the loop applies the plan to zero rows to check it fits the table
+    p = plan(GaussianJitter(0.5), GridHFlip(2, 2), GridShift(2, 2, 1, 0))
+    rows = make_sample(0, [1.0, 2.0, 3.0, 4.0])[:0]
+    assert apply(p, rows, seed=0).shape == (0, 4, 4)
+    with pytest.raises(DataError, match="grid transform needs 4 features, got 3"):
+        apply(p, make_sample(0, [1.0, 2.0, 3.0])[:0], seed=0)
+
+
 def test_hflip_hand_case():
     flip = GridHFlip(rows=2, cols=2)
     out = one(flip, [1.0, 2.0, 3.0, 4.0])

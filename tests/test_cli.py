@@ -175,6 +175,40 @@ def test_run_with_an_unlabelled_pool_reports_no_addition_accuracy(tmp_path):
     assert run_cli("report", str(out)) == 0
 
 
+@pytest.mark.parametrize("labels", [[0] * 40 + [-1] * 20, [1] * 40])
+def test_run_on_a_one_class_table_is_a_data_error(tmp_path, capsys, monkeypatch, labels):
+    # a one-class D_l is the data's fault, found before any training
+    import ile.cli as cli
+    from ile import Samples, save_table
+
+    def must_not_fit(*args, **kwargs):
+        raise AssertionError("trained on a one-class labelled set")
+
+    monkeypatch.setattr(cli.loop, "fit", must_not_fit)
+    n = len(labels)
+    X = np.random.default_rng(0).normal(size=(n, 2))
+    data = tmp_path / "data.csv"
+    save_table(Samples.clean(np.arange(n), X, labels), str(data))
+    cfg = config_file(tmp_path, data={"path": str(data)})
+    out = tmp_path / "o"
+    assert run_cli("run", "--config", cfg, "--out", str(out)) == 2
+    assert "data error: the labelled set has 1 class, need at least 2" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_early_stopping_without_validation_rows_fails_a_dry_run(tmp_path, capsys):
+    cfg = config_file(
+        tmp_path,
+        split={"labelled_per_class": 5, "validation_count": 0},
+        classifier={"train": {"epochs": 30, "early_stop_patience": 2}},
+    )
+    assert run_cli("run", "--config", cfg, "--dry-run") == 1
+    err = capsys.readouterr().err
+    assert "usage error:" in err
+    assert "classifier.train.early_stop_patience" in err
+    assert "split.validation_count" in err
+
+
 def test_diverging_training_exits_with_three(tmp_path, capsys):
     cfg = config_file(
         tmp_path,

@@ -1,8 +1,9 @@
+import copy
 import json
 import re
-from dataclasses import FrozenInstanceError, fields, is_dataclass
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_args
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 import pytest
@@ -187,12 +188,12 @@ def test_data_source_needs_exactly_one_origin():
         ("classifier", {"architecture": "transformer"}, "architecture"),
         ("classifier", {"architecture": "mlp"}, "hidden_units"),
         ("classifier", {"train": {"epochs": 0}}, "epochs"),
-        ("confidence", {"combine_mode": "harmonic"}, "combine mode"),
+        ("confidence", {"combine_mode": "harmonic"}, "confidence.combine_mode"),
         ("confidence", {"epsilon": 0.0}, "epsilon"),
         ("threshold", {"target_accuracy": 0.0}, "target_accuracy"),
         ("threshold", {"target_accuracy": 1.5}, "target_accuracy"),
         ("threshold", {"refresh": "never"}, "refresh"),
-        ("threshold", {"admit_rule": "fuzzy"}, "admit rule"),
+        ("threshold", {"admit_rule": "fuzzy"}, "admit_rule"),
         ("loop", {"max_iterations": -1}, "max_iterations"),
         ("loop", {"patience": 0}, "patience"),
         ("loop", {"repeat_count": 0}, "repeat_count"),
@@ -287,7 +288,7 @@ def test_whole_numbers_coerce_to_the_field_type():
     [
         (ThresholdSpec, {"target_accuracy": 1.5}, "target_accuracy"),
         (ThresholdSpec, {"refresh": "never"}, "refresh"),
-        (ThresholdSpec, {"admit_rule": "fuzzy"}, "admit rule"),
+        (ThresholdSpec, {"admit_rule": "fuzzy"}, "admit_rule"),
         (LoopSpec, {"patience": 0}, "patience"),
         (LoopSpec, {"max_iterations": -1}, "max_iterations"),
         (EnsembleSpec, {"std": "robust"}, "std"),
@@ -406,6 +407,77 @@ def test_every_field_of_every_section_has_a_wrong_typed_case():
     with_fields = {s.__name__ for s in sections if fields(s)}
     assert {key.split(".")[0] for key in NON_NUMBERS} == with_fields
     assert set(NON_NUMBERS) == {f"{s.__name__}.{f.name}" for s in sections for f in fields(s)}
+
+
+def section_paths(section, where=""):
+    """(dotted JSON key, section) for ``section`` and every section it holds."""
+    yield where, section
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            yield from section_paths(value, f"{where}.{f.name}" if where else f.name)
+
+
+def choice_fields():
+    """``Section.field`` -> (JSON config, dotted key, built section, field)
+    for every ``Literal`` field of the sections of the full and minimal configs."""
+    found = {}
+    for cfg in (config_from_dict(full_dict()), config_from_dict(MINIMAL)):
+        for where, section in section_paths(cfg):
+            for f in fields(section):
+                if get_origin(f.type) is Literal:
+                    key = f"{type(section).__name__}.{f.name}"
+                    found[key] = (config_to_dict(cfg), f"{where}.{f.name}", section, f)
+    return found
+
+
+CHOICE_FIELDS = choice_fields()
+
+
+def test_every_choice_field_has_a_wrong_choice_case():
+    sections = sections_named_by(RunConfig) | set(TRANSFORMS.values()) | {MetricWeights}
+    annotated = {
+        f"{s.__name__}.{f.name}"
+        for s in sections
+        for f in fields(s)
+        if get_origin(f.type) is Literal
+    }
+    assert set(CHOICE_FIELDS) == annotated
+
+
+@pytest.mark.parametrize("key", CHOICE_FIELDS)
+def test_a_value_outside_a_fields_choices_is_a_config_error_listing_them(key):
+    raw, dotted, section, f = CHOICE_FIELDS[key]
+    listed = re.escape(", ".join(map(repr, get_args(f.type))))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be one of {listed}, got 'bogus'$"):
+        replace(section, **{f.name: "bogus"})
+    raw = copy.deepcopy(raw)
+    *parents, last = dotted.split(".")
+    target = raw
+    for part in parents:
+        target = target[part]
+    target[last] = "bogus"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(dotted)} must be one of {listed}, got 'bogus'$"):
+        config_from_dict(raw)
+
+
+def test_early_stopping_needs_validation_rows():
+    needle = (
+        r"^classifier\.train\.early_stop_patience needs validation rows: "
+        r"set split\.validation_count > 0$"
+    )
+    split = {"labelled_per_class": 5, "validation_count": 0}
+    raw = dict(MINIMAL, split=split, classifier={"train": {"early_stop_patience": 2}})
+    with pytest.raises(ConfigError, match=needle):
+        config_from_dict(raw)
+    with pytest.raises(ConfigError, match=needle):
+        built(
+            split=SplitSpec(5, 0),
+            classifier=ClassifierSpec(train=TrainConfig(early_stop_patience=2)),
+        )
+    # either one alone is fine
+    assert config_from_dict(dict(raw, classifier={})).split.validation_count == 0
+    assert config_from_dict(dict(raw, split=MINIMAL["split"])).classifier.train.early_stop_patience == 2
 
 
 def test_readme_tour_config_with_a_bad_target_cannot_be_built():

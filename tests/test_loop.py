@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ile import ConfigError, DataError, RunConfig, Samples, TrainConfig, generate
-from ile.augment import AugmentationPlan, GaussianJitter, Identity
+from ile.augment import AugmentationPlan, GaussianJitter, GridHFlip, Identity
 from ile.config import (
     ClassifierSpec,
     ConfidenceSpec,
@@ -512,3 +512,15 @@ def test_every_report_holds_repeats_and_summary(tmp_path, repeat_count):
 def test_run_seed_override_changes_the_snapshot(tmp_path):
     payload = run(small_cfg(), base_seed=99, output_dir=str(tmp_path / "o"))
     assert payload["config"]["seed"] == 99
+
+
+def test_a_grid_transform_that_does_not_fit_the_table_fails_before_training(
+    monkeypatch,
+):
+    def must_not_fit(*args, **kwargs):
+        raise AssertionError("trained before the plan was checked against the table")
+
+    monkeypatch.setattr(loop, "fit", must_not_fit)
+    cfg = small_cfg(augment=AugmentationPlan.from_transforms([Identity(), GridHFlip(5, 5)]))
+    with pytest.raises(DataError, match="grid transform needs 25 features, got 2"):
+        run_report(cfg)
